@@ -9,23 +9,26 @@
 //! ```text
 //! compile (once):
 //! @pytond source ──pyparse──► AST ──translate──► TondIR ──optimizer──► TondIR
-//!                                                              │
-//!                              sqldb::lower ◄─────────────────┤
-//!                                    │                         └────► sqlgen
-//!                              PreparedQuery                     (SQL export:
-//!                           (bound + optimized plan)              dialects +
-//!                                    │                            differential
-//! execute (many):                    ▼                            oracle)
-//!                        sqldb::execute_prepared ──► Relation
+//!                                                                        │
+//!                                                                   sqldb::lower
+//!                                                                        │
+//!                                                                     SQL AST
+//!                                  Database::prepare_query ◄─────────────┴───► sqlgen::print
+//!                                             │                                (SQL export:
+//!                                       PreparedQuery                         DuckDB / Hyper /
+//!                                  (bound + optimized plan)                   LingoDB dialects)
+//! execute (many):                             ▼
+//!                                sqldb::execute_prepared ──► Relation
 //! ```
 //!
 //! Prepared plans are cached per `(source, opt level, profile, stats
 //! version)` across 16 lock shards: a `register_table`/`append` bumps the
 //! statistics version and the next execution transparently re-plans, so
-//! cost-based join orders stay fresh as data grows. Generated SQL text is
-//! still available on [`Compiled::sql`] as an *export format* for the
-//! paper's real backends (DuckDB/Hyper/LingoDB dialects) — the in-process
-//! engine never re-parses it.
+//! cost-based join orders stay fresh as data grows. TondIR is lowered once,
+//! and that one SQL AST feeds both the prepared plan and the SQL text on
+//! [`Compiled::sql`], an *export format* for the paper's real backends
+//! (DuckDB/Hyper/LingoDB dialects) that the in-process engine never
+//! re-parses.
 //!
 //! [`Pytond`] is `Send + Sync` and every method takes `&self`: wrap one
 //! instance in an `Arc` (or hand out [`Database`] clones) and serve any
@@ -74,6 +77,7 @@ pub use pytond_sqlgen::Dialect;
 use pytond_common::hash::{FxHashMap, FxHasher};
 use pytond_common::version::Versioned;
 use pytond_common::{Error, Relation, Result};
+use pytond_sqldb::ast::Query;
 use pytond_tondir::{Catalog, Program, TableSchema};
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
@@ -206,9 +210,10 @@ pub struct Compiled {
     pub raw_ir: Program,
     /// TondIR after optimization.
     pub optimized_ir: Program,
-    /// Generated SQL text — the *export* rendering for the dialect's real
-    /// backend (and the differential oracle); the in-process engine runs
-    /// [`Compiled::prepared`] instead of re-parsing this.
+    /// Generated SQL text — the lowered AST that [`Compiled::prepared`] was
+    /// planned from, printed as the *export* for the dialect's real
+    /// backend; the in-process engine runs [`Compiled::prepared`] instead
+    /// of re-parsing this.
     pub sql: String,
     /// The optimization level used.
     pub level: OptLevel,
@@ -444,44 +449,26 @@ impl Pytond {
     }
 
     /// Compiles at an explicit optimization level (Figure 10's ablation):
-    /// runs the front-end, lowers the optimized IR directly into a prepared
-    /// plan, and renders the dialect's SQL export.
+    /// runs the front-end, lowers the optimized IR once, prepares that AST
+    /// and prints it as the dialect's SQL export.
     pub fn compile_at(&self, source: &str, dialect: Dialect, level: OptLevel) -> Result<Compiled> {
         let catalog = self.catalog.load();
-        let raw_ir = pytond_translate::translate_source(source, &catalog)?;
-        pytond_tondir::analysis::validate(&raw_ir, &catalog)?;
-        let optimized_ir = pytond_optimizer::optimize(raw_ir.clone(), &catalog, level);
-        pytond_tondir::analysis::validate(&optimized_ir, &catalog)?;
-        let sql = pytond_sqlgen::generate_sql(&optimized_ir, &catalog, dialect)?;
-        let profile = Backend::profile_for(dialect);
-        let prepared = match pytond_sqldb::lower::prepare_program(
-            &self.db,
-            &optimized_ir,
-            &catalog,
-            profile,
-        ) {
-            Ok(p) => Arc::new(p),
-            // Profile-gated queries (e.g. window functions on the LingoDB
-            // profile) must still *compile*: the SQL export targets the
-            // paper's real backend, and the gate historically fired at
-            // execute time. Carry a plan validated under the ungated
-            // profile instead; `execute` re-validates for the requested
-            // backend because the profiles then differ.
-            Err(Error::Unsupported(_)) => Arc::new(pytond_sqldb::lower::prepare_program(
-                &self.db,
-                &optimized_ir,
-                &catalog,
-                Profile::Vectorized,
-            )?),
-            Err(e) => return Err(e),
-        };
-        // Cache under the profile the plan was actually validated for — a
-        // gate-skipping plan must never satisfy a Lingo-profile lookup —
-        // and under the stats version it was planned at.
-        self.plan_cache.insert(
-            plan_key(source, level, prepared.profile(), prepared.stats_version()),
-            prepared.clone(),
-        );
+        let (raw_ir, optimized_ir) = front_end(source, &catalog, level)?;
+        let query = pytond_sqldb::lower::lower_program(&optimized_ir, &catalog)?;
+        let sql = pytond_sqlgen::print(&query, dialect)?;
+        let prepared =
+            match self.prepare_cached(source, level, &query, Backend::profile_for(dialect)) {
+                // Profile-gated queries (e.g. window functions on the LingoDB
+                // profile) must still *compile*: the SQL export targets the
+                // paper's real backend, and the gate historically fired at
+                // execute time. Carry a plan validated under the ungated
+                // profile instead; `execute` re-validates for the requested
+                // backend because the profiles then differ.
+                Err(Error::Unsupported(_)) => {
+                    self.prepare_cached(source, level, &query, Profile::Vectorized)?
+                }
+                other => other?,
+            };
         Ok(Compiled {
             source: source.to_string(),
             raw_ir,
@@ -506,27 +493,12 @@ impl Pytond {
         if let Some(p) = self.plan_cache.lookup(&key) {
             return Ok(p);
         }
-        // Miss (or the stats version moved, making this a fresh key): run
-        // the compile pipeline (translate → validate → optimize → lower →
-        // bind/plan) and cache under the version the plan was planned at.
-        // sqlgen is not involved — SQL text is an export format, not the
-        // wire format.
+        // Miss (or the stats version moved, making this a fresh key). SQL
+        // text is an export format, not the wire format: nothing is printed.
         let catalog = self.catalog.load();
-        let raw_ir = pytond_translate::translate_source(source, &catalog)?;
-        pytond_tondir::analysis::validate(&raw_ir, &catalog)?;
-        let optimized_ir = pytond_optimizer::optimize(raw_ir, &catalog, level);
-        pytond_tondir::analysis::validate(&optimized_ir, &catalog)?;
-        let prepared = Arc::new(pytond_sqldb::lower::prepare_program(
-            &self.db,
-            &optimized_ir,
-            &catalog,
-            backend.profile,
-        )?);
-        self.plan_cache.insert(
-            plan_key(source, level, backend.profile, prepared.stats_version()),
-            prepared.clone(),
-        );
-        Ok(prepared)
+        let (_, optimized_ir) = front_end(source, &catalog, level)?;
+        let query = pytond_sqldb::lower::lower_program(&optimized_ir, &catalog)?;
+        self.prepare_cached(source, level, &query, backend.profile)
     }
 
     /// Executes a previously compiled function. While the database
@@ -548,26 +520,34 @@ impl Pytond {
             backend.profile,
             self.db.stats_version(),
         );
-        if let Some(p) = self.plan_cache.lookup(&key) {
-            return self.db.execute_prepared(&p, &backend.config());
-        }
-        let catalog = self.catalog.load();
-        let prepared = Arc::new(pytond_sqldb::lower::prepare_program(
-            &self.db,
-            &compiled.optimized_ir,
-            &catalog,
-            backend.profile,
-        )?);
+        let prepared = match self.plan_cache.lookup(&key) {
+            Some(p) => p,
+            None => {
+                let query =
+                    pytond_sqldb::lower::lower_program(&compiled.optimized_ir, &self.catalog())?;
+                self.prepare_cached(&compiled.source, compiled.level, &query, backend.profile)?
+            }
+        };
+        self.db.execute_prepared(&prepared, &backend.config())
+    }
+
+    /// Binds and plans a lowered query for `profile`, then caches the plan
+    /// under the profile it was validated for — a gate-skipping plan must
+    /// never satisfy a Lingo-profile lookup — and the stats version it was
+    /// planned at.
+    fn prepare_cached(
+        &self,
+        source: &str,
+        level: OptLevel,
+        query: &Query,
+        profile: Profile,
+    ) -> Result<Arc<PreparedQuery>> {
+        let prepared = Arc::new(self.db.prepare_query(query, profile)?);
         self.plan_cache.insert(
-            plan_key(
-                &compiled.source,
-                compiled.level,
-                backend.profile,
-                prepared.stats_version(),
-            ),
+            plan_key(source, level, prepared.profile(), prepared.stats_version()),
             prepared.clone(),
         );
-        self.db.execute_prepared(&prepared, &backend.config())
+        Ok(prepared)
     }
 
     /// Compile + execute in one call, through the prepared-plan cache:
@@ -628,6 +608,16 @@ impl Pytond {
     pub fn plan_cache_capacity(&self) -> usize {
         SHARD_CAP * PLAN_CACHE_SHARDS
     }
+}
+
+/// The front-end sequence every compile path shares: translate → validate
+/// → optimize → validate. Returns the raw and the optimized TondIR.
+fn front_end(source: &str, catalog: &Catalog, level: OptLevel) -> Result<(Program, Program)> {
+    let raw_ir = pytond_translate::translate_source(source, catalog)?;
+    pytond_tondir::analysis::validate(&raw_ir, catalog)?;
+    let optimized_ir = pytond_optimizer::optimize(raw_ir.clone(), catalog, level);
+    pytond_tondir::analysis::validate(&optimized_ir, catalog)?;
+    Ok((raw_ir, optimized_ir))
 }
 
 /// Cache key for one (source, level, profile, stats version) combination.
@@ -838,6 +828,38 @@ mod tests {
         assert_eq!(py.cached_plans(), before);
         let c = py.prepare(&last, &backend, OptLevel::O4).unwrap();
         assert!(Arc::ptr_eq(&a, &c));
+    }
+
+    #[test]
+    fn large_float_constants_export_as_floats() {
+        // Float constants past 1e15 must export as floats: as bare digits,
+        // `1e16` would re-lex as an integer and `1e20` would not lex at all.
+        // Views run the exported SQL, so both must compute exactly what
+        // `run` does, column types included.
+        let py = Pytond::new();
+        py.register_table(
+            "big",
+            Relation::new(vec![(
+                "w".into(),
+                Column::from_f64(vec![1e15, 1e16, 5e19, 1e20, 2e20]),
+            )])
+            .unwrap(),
+            &[],
+        );
+        let backend = Backend::duckdb_sim(1);
+        let cells = |r: &Relation| (r.schema(), (0..r.num_rows()).map(|i| r.row(i)).collect());
+        for (i, c) in ["1e16", "1e20"].into_iter().enumerate() {
+            let src = format!(
+                "@pytond\ndef q(big):\n    r = big[big.w >= {c}]\n    r['c'] = {c}\n    return r\n"
+            );
+            let via_run: (Vec<_>, Vec<Vec<Value>>) = cells(&py.run(&src, &backend).unwrap());
+            let sql = py.compile(&src, backend.dialect()).unwrap().sql;
+            let via_sql = py.database().execute_sql(&sql, &backend.config()).unwrap();
+            assert_eq!(cells(&via_sql), via_run, "{c}: {sql}");
+            let view = format!("v{i}");
+            py.register_view(&view, &src, &backend).unwrap();
+            assert_eq!(cells(py.view(&view).unwrap().relation()), via_run, "{c}");
+        }
     }
 
     #[test]

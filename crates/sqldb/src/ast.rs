@@ -155,6 +155,28 @@ pub enum BinOp {
     Concat,
 }
 
+impl BinOp {
+    /// The operator's SQL spelling.
+    pub fn sql(self) -> &'static str {
+        match self {
+            BinOp::Add => "+",
+            BinOp::Sub => "-",
+            BinOp::Mul => "*",
+            BinOp::Div => "/",
+            BinOp::Mod => "%",
+            BinOp::Eq => "=",
+            BinOp::Ne => "<>",
+            BinOp::Lt => "<",
+            BinOp::Le => "<=",
+            BinOp::Gt => ">",
+            BinOp::Ge => ">=",
+            BinOp::And => "AND",
+            BinOp::Or => "OR",
+            BinOp::Concat => "||",
+        }
+    }
+}
+
 /// Aggregate function names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggName {

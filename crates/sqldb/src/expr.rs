@@ -235,25 +235,7 @@ impl std::fmt::Display for BExpr {
         match self {
             BExpr::Col(i) => write!(f, "#{i}"),
             BExpr::Lit(v) => write!(f, "{v:?}"),
-            BExpr::Bin { op, l, r } => {
-                let sym = match op {
-                    BinOp::Add => "+",
-                    BinOp::Sub => "-",
-                    BinOp::Mul => "*",
-                    BinOp::Div => "/",
-                    BinOp::Mod => "%",
-                    BinOp::Eq => "=",
-                    BinOp::Ne => "<>",
-                    BinOp::Lt => "<",
-                    BinOp::Le => "<=",
-                    BinOp::Gt => ">",
-                    BinOp::Ge => ">=",
-                    BinOp::And => "AND",
-                    BinOp::Or => "OR",
-                    BinOp::Concat => "||",
-                };
-                write!(f, "({l} {sym} {r})")
-            }
+            BExpr::Bin { op, l, r } => write!(f, "({l} {} {r})", op.sql()),
             BExpr::Not(e) => write!(f, "NOT {e}"),
             BExpr::Neg(e) => write!(f, "-{e}"),
             BExpr::IsNull { e, negated } => {

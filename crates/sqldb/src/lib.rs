@@ -27,9 +27,11 @@
 //! front-end + optimizer once and returns a [`PreparedQuery`] that
 //! [`Database::execute_prepared`] runs any number of times with zero
 //! per-call planning. TondIR programs enter without any SQL text through
-//! [`lower::prepare_program`] (the same binder/optimizer, so the direct and
-//! text paths produce identical plans); `register`/`append` bump a stats
-//! version that tells plan caches when cost-based join orders went stale.
+//! [`lower::lower_program`], the one TondIR lowering, and
+//! [`lower::prepare_program`] (the same binder/optimizer); `pytond-sqlgen`
+//! prints that lowered AST as SQL for export. `register`/`append` bump a
+//! stats version that tells plan caches when cost-based join orders went
+//! stale.
 //!
 //! ```
 //! use pytond_sqldb::{Database, EngineConfig};

@@ -1,39 +1,34 @@
-//! Direct TondIR → logical-plan lowering: the in-process fast path of the
-//! paper's Figure 1 pipeline.
+//! TondIR → SQL AST lowering: the one TondIR walk of the paper's Figure 1
+//! pipeline.
 //!
-//! Historically the engine consumed TondIR through SQL *text*: `sqlgen`
-//! rendered the program, and every execution re-lexed, re-parsed, re-bound
-//! and re-optimized that string. This module lowers an optimized TondIR
-//! [`Program`] straight into the engine's structured [`crate::ast`] — one
-//! CTE per rule, exactly the shape `sqlgen` renders — and hands it to the
-//! shared binder/optimizer ([`Database::prepare_query`]) to produce a
-//! [`PreparedQuery`]. No SQL text, lexer or parser is involved.
+//! [`lower_program`] turns an optimized TondIR [`Program`] into the
+//! engine's structured [`crate::ast`]: one CTE per rule, constant relations
+//! hoisted as `VALUES` CTEs, implicit joins as `WHERE` equalities,
+//! outer-join markers as explicit joins, `exists` atoms as `IN` subqueries.
+//! Both back ends start from that one [`Query`]. The in-process engine hands
+//! it to the shared binder/optimizer ([`Database::prepare_query`], or
+//! [`prepare_program`] in one step) with no SQL text, lexer or parser
+//! involved; `pytond-sqlgen` prints it as DuckDB / Hyper / LingoDB SQL for
+//! export. The printed text parses back to the same AST, so the export and
+//! the direct plan cannot drift apart: `tests/differential_prepare.rs`
+//! asserts that round trip, and equal EXPLAIN plans and results, over every
+//! TPC-H query and hybrid workload.
 //!
-//! Funneling through the same binder and optimizer as the text path is a
-//! deliberate design decision: the binder stays the single source of
-//! plan-construction truth, so the direct path cannot drift from the parsed
-//! path. The lowering mirrors `pytond-sqlgen` atom-for-atom (FROM-item
-//! order, implicit-join equality order, predicate order), which makes the
-//! two paths produce **identical** bound plans — results and EXPLAIN join
-//! orders are bit-equal, a property the differential suite
-//! (`tests/differential_prepare.rs`) asserts over every TPC-H query and
-//! hybrid workload. `sqlgen` itself remains the dialect *exporter* (DuckDB /
-//! Hyper / LingoDB SQL for external engines) and the differential oracle.
-//!
-//! Dialect independence: external functions lower to canonical spellings
-//! (`SUBSTRING`, `LENGTH`, `YEAR`, ...) that bind to the same engine
-//! functions every dialect's rendering parses back to, so one lowered plan
-//! serves all three backend profiles (profile-specific *semantic* gates,
-//! e.g. LingoDB's window-function rejection, still run at prepare time).
+//! Dialect independence: external functions lower to canonical names
+//! (`SUBSTRING`, `LENGTH`, `YEAR`, ...) through the only TondIR
+//! external-function table, in `RuleLower::lower_ext`. sqlgen maps those
+//! names to each dialect's spelling, and one lowered plan serves all three
+//! backend profiles (profile-specific *semantic* gates, e.g. LingoDB's
+//! window-function rejection, still run at prepare time).
 
 use crate::ast::{AggName, BinOp, Cte, JoinKind, Query, Select, SelectItem, SqlExpr, TableRef};
 use crate::db::{Database, PreparedQuery, Profile};
+use pytond_common::hash::FxHashMap;
 use pytond_common::{Error, Result};
 use pytond_tondir::analysis::SchemaEnv;
 use pytond_tondir::{
     AggFunc, Atom, Body, Catalog, Const, OuterKind, Program, Rule, ScalarOp, Term,
 };
-use std::collections::HashMap;
 
 /// One pending outer-join marker: `(kind, left alias, right alias, ON pairs)`.
 type OuterMarker<'a> = (
@@ -42,6 +37,10 @@ type OuterMarker<'a> = (
     &'a String,
     &'a Vec<(String, String)>,
 );
+
+/// Variable → lowered SQL expression, keyed by the program's own variable
+/// names.
+type Bindings<'p> = FxHashMap<&'p str, SqlExpr>;
 
 /// Lowers an optimized TondIR program and prepares it against `db` in one
 /// step: the compile-side entry point for the in-process engine.
@@ -129,13 +128,13 @@ impl<'a> RuleLower<'a> {
         }
 
         // Variable bindings: var → lowered SQL expression.
-        let mut bindings: HashMap<String, SqlExpr> = HashMap::new();
+        let mut bindings = Bindings::default();
         // Extra equality conditions from repeated variables (implicit joins).
         let mut conditions: Vec<SqlExpr> = Vec::new();
         // FROM items in atom order.
         let mut from_items: Vec<TableRef> = Vec::new();
         // Alias of each relation access for outer-join wiring.
-        let mut alias_of: HashMap<String, usize> = HashMap::new(); // alias → from_items idx
+        let mut alias_of: FxHashMap<String, usize> = FxHashMap::default(); // alias → from_items idx
         let mut outer_markers: Vec<OuterMarker<'_>> = Vec::new();
 
         for atom in &rule.body.atoms {
@@ -159,12 +158,12 @@ impl<'a> RuleLower<'a> {
                     });
                     for (col, var) in cols.iter().zip(vars) {
                         let expr = SqlExpr::qcol(alias, col);
-                        match bindings.get(var) {
+                        match bindings.get(var.as_str()) {
                             Some(prev) => {
                                 conditions.push(SqlExpr::bin(BinOp::Eq, prev.clone(), expr));
                             }
                             None => {
-                                bindings.insert(var.clone(), expr);
+                                bindings.insert(var, expr);
                             }
                         }
                     }
@@ -190,19 +189,19 @@ impl<'a> RuleLower<'a> {
                     });
                     for var in vars {
                         let expr = SqlExpr::qcol(&name, var);
-                        match bindings.get(var) {
+                        match bindings.get(var.as_str()) {
                             Some(prev) => {
                                 conditions.push(SqlExpr::bin(BinOp::Eq, prev.clone(), expr));
                             }
                             None => {
-                                bindings.insert(var.clone(), expr);
+                                bindings.insert(var, expr);
                             }
                         }
                     }
                 }
                 Atom::Assign { var, term } => {
                     let lowered = self.lower_term(term, &bindings)?;
-                    bindings.insert(var.clone(), lowered);
+                    bindings.insert(var, lowered);
                 }
                 Atom::Pred(term) => {
                     conditions.push(self.lower_term(term, &bindings)?);
@@ -235,7 +234,7 @@ impl<'a> RuleLower<'a> {
         // SELECT list.
         let mut items = Vec::new();
         for (name, var) in &rule.head.cols {
-            let expr = bindings.get(var).ok_or_else(|| {
+            let expr = bindings.get(var.as_str()).ok_or_else(|| {
                 Error::CodeGen(format!(
                     "rule '{}': head variable '{var}' is unbound",
                     rule.head.rel
@@ -256,7 +255,7 @@ impl<'a> RuleLower<'a> {
                 .iter()
                 .map(|v| {
                     bindings
-                        .get(v)
+                        .get(v.as_str())
                         .cloned()
                         .ok_or_else(|| Error::CodeGen(format!("group variable '{v}' unbound")))
                 })
@@ -266,7 +265,7 @@ impl<'a> RuleLower<'a> {
             s.order_by =
                 sort.iter()
                     .map(|(v, asc)| {
-                        let expr = bindings.get(v).cloned().ok_or_else(|| {
+                        let expr = bindings.get(v.as_str()).cloned().ok_or_else(|| {
                             Error::CodeGen(format!("sort variable '{v}' unbound"))
                         })?;
                         Ok((expr, *asc))
@@ -282,9 +281,9 @@ impl<'a> RuleLower<'a> {
     fn lower_outer_from(
         &self,
         from_items: Vec<TableRef>,
-        alias_of: &HashMap<String, usize>,
+        alias_of: &FxHashMap<String, usize>,
         markers: &[OuterMarker<'_>],
-        bindings: &HashMap<String, SqlExpr>,
+        bindings: &Bindings<'_>,
     ) -> Result<Vec<TableRef>> {
         let mut joined: Vec<bool> = vec![false; from_items.len()];
         let mut chain: Option<TableRef> = None;
@@ -303,10 +302,10 @@ impl<'a> RuleLower<'a> {
             let conds: Vec<SqlExpr> =
                 on.iter()
                     .map(|(l, r)| {
-                        let le = bindings.get(l).cloned().ok_or_else(|| {
+                        let le = bindings.get(l.as_str()).cloned().ok_or_else(|| {
                             Error::CodeGen(format!("join variable '{l}' unbound"))
                         })?;
-                        let re = bindings.get(r).cloned().ok_or_else(|| {
+                        let re = bindings.get(r.as_str()).cloned().ok_or_else(|| {
                             Error::CodeGen(format!("join variable '{r}' unbound"))
                         })?;
                         Ok(SqlExpr::bin(BinOp::Eq, le, re))
@@ -318,8 +317,7 @@ impl<'a> RuleLower<'a> {
                 Some(c) => {
                     // Later markers extend the one chain; a left side that
                     // is not already part of it would silently drop a
-                    // relation, so reject disjoint outer-join groups (same
-                    // check as sqlgen, keeping the paths identical).
+                    // relation, so reject disjoint outer-join groups.
                     if !joined[li] {
                         return Err(Error::CodeGen(format!(
                             "disjoint outer-join chains are not supported \
@@ -356,14 +354,14 @@ impl<'a> RuleLower<'a> {
         body: &Body,
         keys: &[(String, String)],
         negated: bool,
-        outer_bindings: &HashMap<String, SqlExpr>,
+        outer_bindings: &Bindings<'_>,
     ) -> Result<SqlExpr> {
         if keys.len() != 1 {
             return Err(Error::CodeGen(
                 "exists atoms must correlate on exactly one key (isin)".into(),
             ));
         }
-        let mut inner_bindings: HashMap<String, SqlExpr> = HashMap::new();
+        let mut inner_bindings = Bindings::default();
         let mut inner_from: Vec<TableRef> = Vec::new();
         let mut inner_conds: Vec<SqlExpr> = Vec::new();
         for atom in &body.atoms {
@@ -379,12 +377,12 @@ impl<'a> RuleLower<'a> {
                     });
                     for (col, var) in cols.iter().zip(vars) {
                         let expr = SqlExpr::qcol(alias, col);
-                        match inner_bindings.get(var) {
+                        match inner_bindings.get(var.as_str()) {
                             Some(prev) => {
                                 inner_conds.push(SqlExpr::bin(BinOp::Eq, prev.clone(), expr));
                             }
                             None => {
-                                inner_bindings.insert(var.clone(), expr);
+                                inner_bindings.insert(var, expr);
                             }
                         }
                     }
@@ -394,7 +392,7 @@ impl<'a> RuleLower<'a> {
                 }
                 Atom::Assign { var, term } => {
                     let lowered = self.lower_term(term, &inner_bindings)?;
-                    inner_bindings.insert(var.clone(), lowered);
+                    inner_bindings.insert(var, lowered);
                 }
                 other => {
                     return Err(Error::CodeGen(format!(
@@ -405,11 +403,11 @@ impl<'a> RuleLower<'a> {
         }
         let (outer_var, inner_var) = &keys[0];
         let outer_expr = outer_bindings
-            .get(outer_var)
+            .get(outer_var.as_str())
             .cloned()
             .ok_or_else(|| Error::CodeGen(format!("exists outer key '{outer_var}' unbound")))?;
         let inner_expr = inner_bindings
-            .get(inner_var)
+            .get(inner_var.as_str())
             .cloned()
             .ok_or_else(|| Error::CodeGen(format!("exists inner key '{inner_var}' unbound")))?;
         let mut sub = Select::empty();
@@ -428,10 +426,10 @@ impl<'a> RuleLower<'a> {
 
     // ---------------- terms ----------------
 
-    fn lower_term(&self, t: &Term, bindings: &HashMap<String, SqlExpr>) -> Result<SqlExpr> {
+    fn lower_term(&self, t: &Term, bindings: &Bindings<'_>) -> Result<SqlExpr> {
         Ok(match t {
             Term::Var(v) => bindings
-                .get(v)
+                .get(v.as_str())
                 .cloned()
                 .ok_or_else(|| Error::CodeGen(format!("variable '{v}' unbound")))?,
             Term::Const(c) => lower_const(c),
@@ -501,12 +499,7 @@ impl<'a> RuleLower<'a> {
 
     /// External functions lower to the canonical spellings every dialect's
     /// rendering binds back to (see module docs).
-    fn lower_ext(
-        &self,
-        func: &str,
-        args: &[Term],
-        bindings: &HashMap<String, SqlExpr>,
-    ) -> Result<SqlExpr> {
+    fn lower_ext(&self, func: &str, args: &[Term], bindings: &Bindings<'_>) -> Result<SqlExpr> {
         let lowered: Vec<SqlExpr> = args
             .iter()
             .map(|a| self.lower_term(a, bindings))

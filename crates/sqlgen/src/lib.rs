@@ -1,13 +1,18 @@
-//! SQL code generation from TondIR (paper, Section III-E).
+//! SQL export: a per-dialect printer over the engine's SQL AST (paper,
+//! Section III-E).
 //!
-//! Each rule becomes one CTE in a `WITH` chain; the program's last rule feeds
-//! the final `SELECT * FROM <last>`. Constant relations are hoisted into
+//! TondIR has one lowering, [`lower_program`]: each rule becomes one CTE in
+//! a `WITH` chain and the program's last rule feeds the final
+//! `SELECT * FROM <last>`. Constant relations are hoisted into
 //! `name(cols) AS (VALUES ...)` CTEs (exactly the paper's Figure 2 shape).
 //! Implicit inner joins (shared variables between relation accesses) become
 //! equality conjuncts in `WHERE`; outer-join marker atoms become explicit
 //! `LEFT/RIGHT/FULL JOIN ... ON` syntax; `exists` atoms become
 //! `[NOT] IN (SELECT ...)` predicates; `uid()` becomes
-//! `row_number() OVER (...)`.
+//! `row_number() OVER (...)`. The in-process engine prepares that [`Query`]
+//! directly; this crate only prints it. [`generate_sql`] is lower, then
+//! [`print()`], and the printed text parses back to the same AST (up to the
+//! parser's `SUBSTR` and `CHAR_LENGTH` spelling aliases).
 //!
 //! # Backend adaptation: the three dialect profiles
 //!
@@ -25,27 +30,27 @@
 //!
 //! Shared across all dialects: identifiers quote with `"double quotes"` when
 //! they are reserved words or not plain lower-case identifiers
-//! ([`quote_ident`]); date constants render as `DATE 'YYYY-MM-DD'`; `uid()`
-//! renders as `row_number() OVER (...)`. The LingoDB profile's *semantic*
-//! gaps — no window functions, no aggregates over disjunctive CASE
-//! conditions — are enforced by the engine (`pytond-sqldb`'s `lingodb-sim`
-//! checks), not by changing the generated text: LingoDB SQL is otherwise the
-//! standard-leaning Hyper spelling. The README's "SQL dialects" section
-//! carries the same table for quick reference.
+//! ([`quote_ident`]); date constants render as `DATE 'YYYY-MM-DD'`; float
+//! constants render in their shortest round-trip form, so they re-lex as
+//! the same `f64`; `uid()` renders as `row_number() OVER (...)`. The
+//! LingoDB profile's *semantic* gaps — no window functions, no aggregates
+//! over disjunctive CASE conditions — are enforced by the engine
+//! (`pytond-sqldb`'s `lingodb-sim` checks), not by changing the generated
+//! text: LingoDB SQL is otherwise the standard-leaning Hyper spelling. The
+//! README's "SQL dialects" section carries the same table for quick
+//! reference.
 
-use pytond_common::{Error, Result};
-use pytond_tondir::analysis::SchemaEnv;
-use pytond_tondir::{Atom, Body, Catalog, Const, OuterKind, Program, Rule, ScalarOp, Term};
-use std::collections::HashMap;
+#![warn(missing_docs)]
+
+use pytond_common::{date, Error, Result};
+use pytond_sqldb::ast::{AggName, BinOp, JoinKind, Query, Select, SelectItem, SqlExpr, TableRef};
+use pytond_sqldb::lower::lower_program;
+use pytond_tondir::{Catalog, Program};
 use std::fmt::Write;
 
-/// One pending outer-join marker: `(kind, left alias, right alias, ON pairs)`.
-type OuterMarker<'a> = (
-    &'a OuterKind,
-    &'a String,
-    &'a String,
-    &'a Vec<(String, String)>,
-);
+// The unit tests build TondIR programs through `super::*`.
+#[cfg(test)]
+use pytond_tondir::{Atom, Const, OuterKind, ScalarOp, Term};
 
 /// Target SQL dialect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -59,56 +64,21 @@ pub enum Dialect {
     LingoDb,
 }
 
-/// Generates the full SQL statement for a TondIR program.
+/// Generates the full SQL statement for a TondIR program: the shared
+/// lowering, printed in `dialect`.
 pub fn generate_sql(program: &Program, catalog: &Catalog, dialect: Dialect) -> Result<String> {
-    if program.rules.is_empty() {
-        return Err(Error::CodeGen("empty program".into()));
-    }
-    let mut env = SchemaEnv::from_catalog(catalog);
-    let mut ctes: Vec<String> = Vec::new();
-    let mut seen_names: Vec<String> = Vec::new();
-    let mut const_counter = 0usize;
-    for rule in &program.rules {
-        if seen_names.contains(&rule.head.rel) {
-            return Err(Error::CodeGen(format!(
-                "relation '{}' defined twice; the translator must uniquify rule names",
-                rule.head.rel
-            )));
-        }
-        let gen = RuleGen {
-            env: &env,
-            dialect,
-            const_counter: &mut const_counter,
-        };
-        let (sql, extra_ctes) = gen.rule_to_sql(rule)?;
-        ctes.extend(extra_ctes);
-        let col_list: Vec<String> = rule.head.cols.iter().map(|(n, _)| quote_ident(n)).collect();
-        ctes.push(format!(
-            "{}({}) AS (\n{}\n)",
-            quote_ident(&rule.head.rel),
-            col_list.join(", "),
-            indent(&sql)
-        ));
-        seen_names.push(rule.head.rel.clone());
-        env.define(&rule.head);
-    }
-    let last = program.rules.last().expect("non-empty");
-    let mut out = String::new();
-    write!(
-        out,
-        "WITH {}\nSELECT * FROM {}",
-        ctes.join(",\n"),
-        quote_ident(&last.head.rel)
-    )
-    .unwrap();
-    Ok(out)
+    print(&lower_program(program, catalog)?, dialect)
 }
 
-fn indent(s: &str) -> String {
-    s.lines()
-        .map(|l| format!("  {l}"))
-        .collect::<Vec<_>>()
-        .join("\n")
+/// Prints a query as `dialect` SQL text. Covers the AST shapes
+/// [`lower_program`] emits; any other construct is an [`Error::CodeGen`].
+pub fn print(query: &Query, dialect: Dialect) -> Result<String> {
+    let mut printer = Printer {
+        dialect,
+        out: String::new(),
+    };
+    printer.query(query)?;
+    Ok(printer.out)
 }
 
 const RESERVED: &[&str] = &[
@@ -121,512 +91,388 @@ const RESERVED: &[&str] = &[
 
 /// Quotes an identifier when it is not a plain lower-case word.
 pub fn quote_ident(name: &str) -> String {
-    let plain = !name.is_empty()
+    let mut out = String::new();
+    push_ident(&mut out, name);
+    out
+}
+
+fn push_ident(out: &mut String, name: &str) {
+    let plain = name.chars().next().is_some_and(|c| !c.is_ascii_digit())
         && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-        && !name.chars().next().unwrap().is_ascii_digit()
-        && !RESERVED.contains(&name.to_lowercase().as_str());
+        && !RESERVED.iter().any(|r| r.eq_ignore_ascii_case(name));
     if plain {
-        name.to_string()
+        out.push_str(name);
     } else {
-        format!("\"{}\"", name.replace('"', "\"\""))
+        out.push('"');
+        out.push_str(&name.replace('"', "\"\""));
+        out.push('"');
     }
 }
 
-struct RuleGen<'a> {
-    env: &'a SchemaEnv,
+/// How a dialect spells one function call.
+enum Spelling<'a> {
+    /// `name(a, b, ...)`.
+    Call(&'a str),
+    /// `EXTRACT(FIELD FROM d)`, the field being the canonical name.
+    Extract,
+    /// `SUBSTRING(s FROM start FOR len)`.
+    FromFor,
+}
+
+/// The dialect spelling table over the canonical [`SqlExpr::Func`] names
+/// the lowering emits. Functions not listed print under their canonical
+/// name in every dialect.
+fn spelling(dialect: Dialect, name: &str) -> Spelling<'_> {
+    let (duckdb, standard) = match name {
+        "YEAR" => (Spelling::Call("year"), Spelling::Extract),
+        "MONTH" => (Spelling::Call("month"), Spelling::Extract),
+        "DAY" => (Spelling::Call("day"), Spelling::Extract),
+        "SUBSTRING" => (Spelling::Call("substr"), Spelling::FromFor),
+        "LENGTH" => (Spelling::Call("length"), Spelling::Call("CHAR_LENGTH")),
+        _ => return Spelling::Call(name),
+    };
+    if dialect == Dialect::DuckDb {
+        duckdb
+    } else {
+        standard
+    }
+}
+
+/// Binding level of comparisons, `IS NULL`, `LIKE` and `IN` in [`level`].
+const CMP: u8 = 4;
+
+/// How tightly an expression's top operator binds in the engine parser's
+/// grammar (higher binds tighter). A child whose level is below its slot's
+/// minimum prints in parentheses, so the text parses back to the same tree.
+fn level(e: &SqlExpr) -> u8 {
+    match e {
+        SqlExpr::Bin { op: BinOp::Or, .. } => 1,
+        SqlExpr::Bin { op: BinOp::And, .. } => 2,
+        SqlExpr::Not(_) => 3,
+        SqlExpr::Bin {
+            op: BinOp::Add | BinOp::Sub | BinOp::Concat,
+            ..
+        } => 5,
+        SqlExpr::Bin {
+            op: BinOp::Mul | BinOp::Div | BinOp::Mod,
+            ..
+        } => 6,
+        SqlExpr::Bin { .. }
+        | SqlExpr::IsNull { .. }
+        | SqlExpr::Like { .. }
+        | SqlExpr::InSubquery { .. } => CMP,
+        _ => 7,
+    }
+}
+
+fn unprintable(node: &impl std::fmt::Debug) -> Error {
+    Error::CodeGen(format!("the SQL printer has no spelling for {node:?}"))
+}
+
+/// Appends one query's text to `out`.
+struct Printer {
     dialect: Dialect,
-    const_counter: &'a mut usize,
+    out: String,
 }
 
-impl<'a> RuleGen<'a> {
-    /// Renders a rule body + head into a SELECT, returning any hoisted
-    /// VALUES CTEs.
-    fn rule_to_sql(self, rule: &Rule) -> Result<(String, Vec<String>)> {
-        let mut extra_ctes = Vec::new();
-        // Pure constant rule: R(c0) :- (c0 = [...]).
-        if rule.body.atoms.len() == 1 {
-            if let Atom::ConstRel { rows, .. } = &rule.body.atoms[0] {
-                let rendered: Vec<String> = rows
-                    .iter()
-                    .map(|r| {
-                        let vals: Vec<String> = r.iter().map(render_const).collect();
-                        format!("({})", vals.join(", "))
-                    })
-                    .collect();
-                return Ok((format!("VALUES {}", rendered.join(", ")), extra_ctes));
+impl Printer {
+    fn query(&mut self, q: &Query) -> Result<()> {
+        for (i, cte) in q.ctes.iter().enumerate() {
+            self.out.push_str(if i == 0 { "WITH " } else { ",\n" });
+            push_ident(&mut self.out, &cte.name);
+            if let Some(cols) = &cte.columns {
+                self.out.push('(');
+                self.list(cols, |p, c| {
+                    push_ident(&mut p.out, c);
+                    Ok(())
+                })?;
+                self.out.push(')');
             }
+            self.out.push_str(" AS (\n  ");
+            self.select(&cte.select, "\n  ")?;
+            self.out.push_str("\n)");
         }
+        if !q.ctes.is_empty() {
+            self.out.push('\n');
+        }
+        self.select(&q.body, " ")
+    }
 
-        // Variable bindings: var → rendered SQL expression.
-        let mut bindings: HashMap<String, String> = HashMap::new();
-        // Extra equality conditions from repeated variables (implicit joins).
-        let mut conditions: Vec<String> = Vec::new();
-        // FROM items in order: (rendered item, alias).
-        let mut from_items: Vec<String> = Vec::new();
-        // Alias of each relation access for outer-join wiring.
-        let mut alias_of: HashMap<String, usize> = HashMap::new(); // alias → from_items idx
-        let mut outer_markers: Vec<OuterMarker<'_>> = Vec::new();
-
-        for atom in &rule.body.atoms {
-            match atom {
-                Atom::Rel { rel, alias, vars } => {
-                    let cols = self.env.columns(rel).map_err(|e| {
-                        Error::CodeGen(format!("rule '{}': {}", rule.head.rel, e.message()))
-                    })?;
-                    if cols.len() != vars.len() {
-                        return Err(Error::CodeGen(format!(
-                            "rule '{}': relation '{rel}' has {} columns, access binds {}",
-                            rule.head.rel,
-                            cols.len(),
-                            vars.len()
-                        )));
-                    }
-                    let item = if alias == rel {
-                        quote_ident(rel)
-                    } else {
-                        format!("{} AS {}", quote_ident(rel), quote_ident(alias))
-                    };
-                    alias_of.insert(alias.clone(), from_items.len());
-                    from_items.push(item);
-                    for (col, var) in cols.iter().zip(vars) {
-                        let expr = format!("{}.{}", quote_ident(alias), quote_ident(col));
-                        match bindings.get(var) {
-                            Some(prev) => conditions.push(format!("{prev} = {expr}")),
-                            None => {
-                                bindings.insert(var.clone(), expr);
-                            }
-                        }
-                    }
-                }
-                Atom::ConstRel { vars, rows } => {
-                    *self.const_counter += 1;
-                    let name = format!("const_rel_{}", self.const_counter);
-                    let rendered: Vec<String> = rows
-                        .iter()
-                        .map(|r| {
-                            let vals: Vec<String> = r.iter().map(render_const).collect();
-                            format!("({})", vals.join(", "))
-                        })
-                        .collect();
-                    let col_list: Vec<String> = vars.iter().map(|v| quote_ident(v)).collect();
-                    extra_ctes.push(format!(
-                        "{}({}) AS (\n  VALUES {}\n)",
-                        quote_ident(&name),
-                        col_list.join(", "),
-                        rendered.join(", ")
-                    ));
-                    alias_of.insert(name.clone(), from_items.len());
-                    from_items.push(quote_ident(&name));
-                    for var in vars {
-                        let expr = format!("{}.{}", quote_ident(&name), quote_ident(var));
-                        match bindings.get(var) {
-                            Some(prev) => conditions.push(format!("{prev} = {expr}")),
-                            None => {
-                                bindings.insert(var.clone(), expr);
-                            }
-                        }
-                    }
-                }
-                Atom::Assign { var, term } => {
-                    let rendered = self.render_term(term, &bindings)?;
-                    let stored = if matches!(term, Term::Bin { .. } | Term::Not(_)) {
-                        format!("({rendered})")
-                    } else {
-                        rendered
-                    };
-                    bindings.insert(var.clone(), stored);
-                }
-                Atom::Pred(term) => {
-                    let rendered = self.render_term(term, &bindings)?;
-                    // Disjunctions must not leak into the AND chain unparenthesized.
-                    let rendered = if matches!(
-                        term,
-                        Term::Bin {
-                            op: ScalarOp::Or,
-                            ..
-                        }
-                    ) {
-                        format!("({rendered})")
-                    } else {
-                        rendered
-                    };
-                    conditions.push(rendered);
-                }
-                Atom::Exists {
-                    body,
-                    keys,
-                    negated,
-                } => {
-                    conditions.push(self.render_exists(body, keys, *negated, &bindings)?);
-                }
-                Atom::OuterJoin {
-                    kind,
-                    left,
-                    right,
-                    on,
-                } => {
-                    outer_markers.push((kind, left, right, on));
-                }
+    /// Prints `items` comma-separated.
+    fn list<T>(
+        &mut self,
+        items: &[T],
+        mut each: impl FnMut(&mut Self, &T) -> Result<()>,
+    ) -> Result<()> {
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                self.out.push_str(", ");
             }
+            each(self, item)?;
         }
+        Ok(())
+    }
 
-        // FROM clause: outer-join markers splice explicit JOIN syntax.
-        let from_clause = if outer_markers.is_empty() {
-            from_items.join(", ")
+    /// Prints a select; `sep` goes before each clause after the first (a
+    /// newline plus indentation inside a CTE, a space inline).
+    fn select(&mut self, s: &Select, sep: &str) -> Result<()> {
+        if let Some(rows) = &s.values {
+            self.out.push_str("VALUES ");
+            return self.list(rows, |p, row| {
+                p.out.push('(');
+                p.list(row, |p, e| p.expr(e, 0))?;
+                p.out.push(')');
+                Ok(())
+            });
+        }
+        if let Some(having) = &s.having {
+            return Err(unprintable(having));
+        }
+        self.out.push_str(if s.distinct {
+            "SELECT DISTINCT "
         } else {
-            self.render_outer_from(&from_items, &alias_of, &outer_markers, &bindings)?
-        };
-
-        // SELECT list.
-        let mut select_items = Vec::new();
-        for (name, var) in &rule.head.cols {
-            let expr = bindings.get(var).ok_or_else(|| {
-                Error::CodeGen(format!(
-                    "rule '{}': head variable '{var}' is unbound",
-                    rule.head.rel
-                ))
-            })?;
-            select_items.push(format!("{expr} AS {}", quote_ident(name)));
+            "SELECT "
+        });
+        self.list(&s.items, Self::item)?;
+        if !s.from.is_empty() {
+            let _ = write!(self.out, "{sep}FROM ");
+            self.list(&s.from, Self::table_ref)?;
         }
-        let mut sql = String::new();
-        write!(
-            sql,
-            "SELECT {}{}",
-            if rule.head.distinct { "DISTINCT " } else { "" },
-            select_items.join(", ")
-        )
-        .unwrap();
-        write!(sql, "\nFROM {from_clause}").unwrap();
-        if !conditions.is_empty() {
-            write!(sql, "\nWHERE {}", conditions.join(" AND ")).unwrap();
+        if let Some(w) = &s.where_clause {
+            let _ = write!(self.out, "{sep}WHERE ");
+            self.expr(w, 0)?;
         }
-        if let Some(group) = &rule.head.group {
-            let keys: Vec<String> = group
-                .iter()
-                .map(|v| {
-                    bindings
-                        .get(v)
-                        .cloned()
-                        .ok_or_else(|| Error::CodeGen(format!("group variable '{v}' unbound")))
-                })
-                .collect::<Result<_>>()?;
-            write!(sql, "\nGROUP BY {}", keys.join(", ")).unwrap();
+        if !s.group_by.is_empty() {
+            let _ = write!(self.out, "{sep}GROUP BY ");
+            self.list(&s.group_by, |p, e| p.expr(e, 0))?;
         }
-        if let Some(sort) = &rule.head.sort {
-            let keys: Vec<String> =
-                sort.iter()
-                    .map(|(v, asc)| {
-                        let expr = bindings.get(v).cloned().ok_or_else(|| {
-                            Error::CodeGen(format!("sort variable '{v}' unbound"))
-                        })?;
-                        Ok(format!("{expr}{}", if *asc { " ASC" } else { " DESC" }))
-                    })
-                    .collect::<Result<_>>()?;
-            write!(sql, "\nORDER BY {}", keys.join(", ")).unwrap();
+        if !s.order_by.is_empty() {
+            let _ = write!(self.out, "{sep}ORDER BY ");
+            self.order_keys(&s.order_by)?;
         }
-        if let Some(n) = rule.head.limit {
-            write!(sql, "\nLIMIT {n}").unwrap();
+        if let Some(n) = s.limit {
+            let _ = write!(self.out, "{sep}LIMIT {n}");
         }
-        Ok((sql, extra_ctes))
+        Ok(())
     }
 
-    fn render_outer_from(
-        &self,
-        from_items: &[String],
-        alias_of: &HashMap<String, usize>,
-        markers: &[OuterMarker<'_>],
-        bindings: &HashMap<String, String>,
-    ) -> Result<String> {
-        // Relations joined by markers are chained with JOIN syntax; all other
-        // items stay comma-separated.
-        let mut joined: Vec<bool> = vec![false; from_items.len()];
-        let mut chain = String::new();
-        for (ki, (kind, left, right, on)) in markers.iter().enumerate() {
-            let li = *alias_of
-                .get(*left)
-                .ok_or_else(|| Error::CodeGen(format!("outer join alias '{left}' unknown")))?;
-            let ri = *alias_of
-                .get(*right)
-                .ok_or_else(|| Error::CodeGen(format!("outer join alias '{right}' unknown")))?;
-            let kw = match kind {
-                OuterKind::Left => "LEFT JOIN",
-                OuterKind::Right => "RIGHT JOIN",
-                OuterKind::Full => "FULL OUTER JOIN",
-            };
-            let conds: Vec<String> =
-                on.iter()
-                    .map(|(l, r)| {
-                        let le = bindings.get(l).cloned().ok_or_else(|| {
-                            Error::CodeGen(format!("join variable '{l}' unbound"))
-                        })?;
-                        let re = bindings.get(r).cloned().ok_or_else(|| {
-                            Error::CodeGen(format!("join variable '{r}' unbound"))
-                        })?;
-                        Ok(format!("{le} = {re}"))
-                    })
-                    .collect::<Result<_>>()?;
-            if ki == 0 {
-                write!(
-                    chain,
-                    "{} {kw} {} ON {}",
-                    from_items[li],
-                    from_items[ri],
-                    conds.join(" AND ")
-                )
-                .unwrap();
-            } else {
-                // Later markers extend the one chain; a left side that is
-                // not already part of it would silently drop a relation, so
-                // reject disjoint outer-join groups outright.
-                if !joined[li] {
-                    return Err(Error::CodeGen(format!(
-                        "disjoint outer-join chains are not supported \
-                         (alias '{left}' is not part of the join chain)"
-                    )));
+    fn item(&mut self, item: &SelectItem) -> Result<()> {
+        match item {
+            SelectItem::Wildcard => self.out.push('*'),
+            SelectItem::Expr { expr, alias } => {
+                self.expr(expr, 0)?;
+                if let Some(alias) = alias {
+                    self.out.push_str(" AS ");
+                    push_ident(&mut self.out, alias);
                 }
-                write!(chain, " {kw} {} ON {}", from_items[ri], conds.join(" AND ")).unwrap();
             }
-            joined[li] = true;
-            joined[ri] = true;
+            other => return Err(unprintable(other)),
         }
-        let mut parts = vec![chain];
-        for (i, item) in from_items.iter().enumerate() {
-            if !joined[i] {
-                parts.push(item.clone());
-            }
-        }
-        Ok(parts.join(", "))
+        Ok(())
     }
 
-    fn render_exists(
-        &self,
-        body: &Body,
-        keys: &[(String, String)],
-        negated: bool,
-        outer_bindings: &HashMap<String, String>,
-    ) -> Result<String> {
-        if keys.len() != 1 {
-            return Err(Error::CodeGen(
-                "exists atoms must correlate on exactly one key (isin)".into(),
-            ));
-        }
-        // Render the inner body as a one-column subselect.
-        let mut inner_bindings: HashMap<String, String> = HashMap::new();
-        let mut inner_from: Vec<String> = Vec::new();
-        let mut inner_conds: Vec<String> = Vec::new();
-        for atom in &body.atoms {
-            match atom {
-                Atom::Rel { rel, alias, vars } => {
-                    let cols = self
-                        .env
-                        .columns(rel)
-                        .map_err(|e| Error::CodeGen(e.message().to_string()))?;
-                    let item = if alias == rel {
-                        quote_ident(rel)
-                    } else {
-                        format!("{} AS {}", quote_ident(rel), quote_ident(alias))
-                    };
-                    inner_from.push(item);
-                    for (col, var) in cols.iter().zip(vars) {
-                        let expr = format!("{}.{}", quote_ident(alias), quote_ident(col));
-                        match inner_bindings.get(var) {
-                            Some(prev) => inner_conds.push(format!("{prev} = {expr}")),
-                            None => {
-                                inner_bindings.insert(var.clone(), expr);
-                            }
-                        }
-                    }
-                }
-                Atom::Pred(t) => {
-                    let rendered = self.render_term(t, &inner_bindings)?;
-                    let rendered = if matches!(
-                        t,
-                        Term::Bin {
-                            op: ScalarOp::Or,
-                            ..
-                        }
-                    ) {
-                        format!("({rendered})")
-                    } else {
-                        rendered
-                    };
-                    inner_conds.push(rendered);
-                }
-                Atom::Assign { var, term } => {
-                    let rendered = self.render_term(term, &inner_bindings)?;
-                    let stored = if matches!(term, Term::Bin { .. } | Term::Not(_)) {
-                        format!("({rendered})")
-                    } else {
-                        rendered
-                    };
-                    inner_bindings.insert(var.clone(), stored);
-                }
-                other => {
-                    return Err(Error::CodeGen(format!(
-                        "unsupported atom inside exists: {other:?}"
-                    )))
+    fn table_ref(&mut self, t: &TableRef) -> Result<()> {
+        match t {
+            TableRef::Table { name, alias } => {
+                push_ident(&mut self.out, name);
+                if let Some(alias) = alias {
+                    self.out.push_str(" AS ");
+                    push_ident(&mut self.out, alias);
                 }
             }
+            // The lowering's outer-join chains: the parser reads them
+            // left-deep, with a plain table on the right of each join.
+            TableRef::Join {
+                left,
+                right,
+                kind: kind @ (JoinKind::Left | JoinKind::Right | JoinKind::Full),
+                on: Some(on),
+            } if matches!(**right, TableRef::Table { .. }) => {
+                self.table_ref(left)?;
+                self.out.push_str(match kind {
+                    JoinKind::Left => " LEFT JOIN ",
+                    JoinKind::Right => " RIGHT JOIN ",
+                    _ => " FULL OUTER JOIN ",
+                });
+                self.table_ref(right)?;
+                self.out.push_str(" ON ");
+                self.expr(on, 0)?;
+            }
+            other => return Err(unprintable(other)),
         }
-        let (outer_var, inner_var) = &keys[0];
-        let outer_expr = outer_bindings
-            .get(outer_var)
-            .ok_or_else(|| Error::CodeGen(format!("exists outer key '{outer_var}' unbound")))?;
-        let inner_expr = inner_bindings
-            .get(inner_var)
-            .ok_or_else(|| Error::CodeGen(format!("exists inner key '{inner_var}' unbound")))?;
-        let mut sub = format!("SELECT {inner_expr} FROM {}", inner_from.join(", "));
-        if !inner_conds.is_empty() {
-            write!(sub, " WHERE {}", inner_conds.join(" AND ")).unwrap();
-        }
-        Ok(format!(
-            "{outer_expr} {}IN ({sub})",
-            if negated { "NOT " } else { "" }
-        ))
+        Ok(())
     }
 
-    // ---------------- terms ----------------
-
-    fn render_term(&self, t: &Term, bindings: &HashMap<String, String>) -> Result<String> {
-        Ok(match t {
-            Term::Var(v) => bindings
-                .get(v)
-                .cloned()
-                .ok_or_else(|| Error::CodeGen(format!("variable '{v}' unbound")))?,
-            Term::Const(c) => render_const(c),
-            Term::Agg { func, arg } => {
-                use pytond_tondir::AggFunc;
-                let inner = self.render_term(arg, bindings)?;
-                match func {
-                    AggFunc::Sum => format!("SUM({inner})"),
-                    AggFunc::Min => format!("MIN({inner})"),
-                    AggFunc::Max => format!("MAX({inner})"),
-                    AggFunc::Avg => format!("AVG({inner})"),
-                    AggFunc::Count => {
-                        // count over a bare "1" constant means COUNT(*)
-                        if matches!(**arg, Term::Const(Const::Int(1))) {
-                            "COUNT(*)".to_string()
-                        } else {
-                            format!("COUNT({inner})")
-                        }
-                    }
-                    AggFunc::CountDistinct => format!("COUNT(DISTINCT {inner})"),
-                }
-            }
-            Term::Ext { func, args } => self.render_ext(func, args, bindings)?,
-            Term::If { cond, then, els } => format!(
-                "CASE WHEN {} THEN {} ELSE {} END",
-                self.render_term(cond, bindings)?,
-                self.render_term(then, bindings)?,
-                self.render_term(els, bindings)?
-            ),
-            Term::Bin { op, lhs, rhs } => {
-                let l = self.paren(lhs, bindings)?;
-                let r = self.paren(rhs, bindings)?;
-                match op {
-                    ScalarOp::Like => format!("{l} LIKE {r}"),
-                    ScalarOp::NotLike => format!("{l} NOT LIKE {r}"),
-                    other => format!("{l} {} {r}", other.sql()),
-                }
-            }
-            Term::Not(inner) => format!("NOT ({})", self.render_term(inner, bindings)?),
-            Term::IsNull(inner) => {
-                format!("{} IS NULL", self.paren(inner, bindings)?)
-            }
+    fn order_keys(&mut self, keys: &[(SqlExpr, bool)]) -> Result<()> {
+        self.list(keys, |p, (e, asc)| {
+            p.expr(e, 0)?;
+            p.out.push_str(if *asc { " ASC" } else { " DESC" });
+            Ok(())
         })
     }
 
-    fn paren(&self, t: &Term, bindings: &HashMap<String, String>) -> Result<String> {
-        let s = self.render_term(t, bindings)?;
-        Ok(match t {
-            Term::Bin { .. } => format!("({s})"),
-            _ => s,
-        })
+    fn string(&mut self, s: &str) {
+        self.out.push('\'');
+        self.out.push_str(&s.replace('\'', "''"));
+        self.out.push('\'');
     }
 
-    /// Dialect-specific external functions (paper: "Backend Adaptation").
-    fn render_ext(
-        &self,
-        func: &str,
-        args: &[Term],
-        bindings: &HashMap<String, String>,
-    ) -> Result<String> {
-        let rendered: Vec<String> = args
-            .iter()
-            .map(|a| self.render_term(a, bindings))
-            .collect::<Result<_>>()?;
-        let arg = |i: usize| -> Result<&String> {
-            rendered
-                .get(i)
-                .ok_or_else(|| Error::CodeGen(format!("{func} missing argument {i}")))
-        };
-        Ok(match func {
-            "uid" => match rendered.first() {
-                Some(col) => format!("row_number() OVER (ORDER BY {col})"),
-                None => "row_number() OVER ()".to_string(),
-            },
-            "year" => match self.dialect {
-                Dialect::DuckDb => format!("year({})", arg(0)?),
-                _ => format!("EXTRACT(YEAR FROM {})", arg(0)?),
-            },
-            "month" => match self.dialect {
-                Dialect::DuckDb => format!("month({})", arg(0)?),
-                _ => format!("EXTRACT(MONTH FROM {})", arg(0)?),
-            },
-            "day" => match self.dialect {
-                Dialect::DuckDb => format!("day({})", arg(0)?),
-                _ => format!("EXTRACT(DAY FROM {})", arg(0)?),
-            },
-            "substr" => match self.dialect {
-                Dialect::DuckDb => format!("substr({}, {}, {})", arg(0)?, arg(1)?, arg(2)?),
-                _ => format!("SUBSTRING({} FROM {} FOR {})", arg(0)?, arg(1)?, arg(2)?),
-            },
-            "strlen" => match self.dialect {
-                Dialect::DuckDb => format!("length({})", arg(0)?),
-                _ => format!("CHAR_LENGTH({})", arg(0)?),
-            },
-            "round" => {
-                if rendered.len() > 1 {
-                    format!("ROUND({}, {})", arg(0)?, arg(1)?)
+    /// Prints `e`, in parentheses when it binds looser than `min` (see
+    /// [`level`]).
+    fn expr(&mut self, e: &SqlExpr, min: u8) -> Result<()> {
+        let lvl = level(e);
+        if lvl < min {
+            self.out.push('(');
+            self.expr(e, 0)?;
+            self.out.push(')');
+            return Ok(());
+        }
+        match e {
+            SqlExpr::Column { qualifier, name } => {
+                if let Some(q) = qualifier {
+                    push_ident(&mut self.out, q);
+                    self.out.push('.');
+                }
+                push_ident(&mut self.out, name);
+            }
+            SqlExpr::Int(i) => {
+                let _ = write!(self.out, "{i}");
+            }
+            // `{:?}` is the shortest text that parses back to the same f64,
+            // and always carries a `.` or an exponent, so it re-lexes as a
+            // float.
+            SqlExpr::Float(f) if f.is_finite() => {
+                let _ = write!(self.out, "{f:?}");
+            }
+            SqlExpr::Str(s) => self.string(s),
+            SqlExpr::Bool(b) => self.out.push_str(if *b { "TRUE" } else { "FALSE" }),
+            SqlExpr::Null => self.out.push_str("NULL"),
+            SqlExpr::DateLit(d) => {
+                let _ = write!(self.out, "DATE '{}'", date::format(*d));
+            }
+            SqlExpr::Bin { op, left, right } => {
+                // Comparisons do not chain; every other operator associates
+                // to the left.
+                let (lmin, rmin) = if lvl == CMP {
+                    (CMP + 1, CMP + 1)
                 } else {
-                    format!("ROUND({})", arg(0)?)
-                }
+                    (lvl, lvl + 1)
+                };
+                self.expr(left, lmin)?;
+                let _ = write!(self.out, " {} ", op.sql());
+                self.expr(right, rmin)?;
             }
-            "abs" => format!("ABS({})", arg(0)?),
-            "floor" => format!("FLOOR({})", arg(0)?),
-            "ceil" => format!("CEIL({})", arg(0)?),
-            "sqrt" => format!("SQRT({})", arg(0)?),
-            "power" => format!("POWER({}, {})", arg(0)?, arg(1)?),
-            "upper" => format!("UPPER({})", arg(0)?),
-            "lower" => format!("LOWER({})", arg(0)?),
-            "coalesce" => format!("COALESCE({})", rendered.join(", ")),
-            "add_months" => format!("ADD_MONTHS({}, {})", arg(0)?, arg(1)?),
-            "add_years" => format!("ADD_YEARS({}, {})", arg(0)?, arg(1)?),
-            "add_days" => format!("ADD_DAYS({}, {})", arg(0)?, arg(1)?),
-            "strpos" => format!("STRPOS({}, {})", arg(0)?, arg(1)?),
-            other => {
+            SqlExpr::Not(inner) => {
+                self.out.push_str("NOT (");
+                self.expr(inner, 0)?;
+                self.out.push(')');
+            }
+            SqlExpr::IsNull { expr, negated } => {
+                self.expr(expr, CMP + 1)?;
+                self.out
+                    .push_str(if *negated { " IS NOT NULL" } else { " IS NULL" });
+            }
+            SqlExpr::Like {
+                expr,
+                pattern,
+                negated,
+            } => {
+                self.expr(expr, CMP + 1)?;
+                self.out
+                    .push_str(if *negated { " NOT LIKE " } else { " LIKE " });
+                self.string(pattern);
+            }
+            SqlExpr::InSubquery {
+                expr,
+                query,
+                negated,
+            } => {
+                self.expr(expr, CMP + 1)?;
+                self.out
+                    .push_str(if *negated { " NOT IN (" } else { " IN (" });
+                self.select(query, " ")?;
+                self.out.push(')');
+            }
+            SqlExpr::Case { arms, else_value } => {
+                self.out.push_str("CASE");
+                for (cond, value) in arms {
+                    self.out.push_str(" WHEN ");
+                    self.expr(cond, 0)?;
+                    self.out.push_str(" THEN ");
+                    self.expr(value, 0)?;
+                }
+                if let Some(value) = else_value {
+                    self.out.push_str(" ELSE ");
+                    self.expr(value, 0)?;
+                }
+                self.out.push_str(" END");
+            }
+            SqlExpr::Agg {
+                func,
+                arg,
+                distinct,
+            } => {
+                self.out.push_str(match func {
+                    AggName::Sum => "SUM(",
+                    AggName::Min => "MIN(",
+                    AggName::Max => "MAX(",
+                    AggName::Avg => "AVG(",
+                    AggName::Count => "COUNT(",
+                });
+                match arg {
+                    None => self.out.push('*'),
+                    Some(arg) => {
+                        if *distinct {
+                            self.out.push_str("DISTINCT ");
+                        }
+                        self.expr(arg, 0)?;
+                    }
+                }
+                self.out.push(')');
+            }
+            SqlExpr::Func { name, args } => self.func(name, args)?,
+            SqlExpr::RowNumber { order_by } => {
+                self.out.push_str("row_number() OVER (");
+                if !order_by.is_empty() {
+                    self.out.push_str("ORDER BY ");
+                    self.order_keys(order_by)?;
+                }
+                self.out.push(')');
+            }
+            other => return Err(unprintable(other)),
+        }
+        Ok(())
+    }
+
+    /// A function call in the dialect's spelling (see [`spelling`]).
+    fn func(&mut self, name: &str, args: &[SqlExpr]) -> Result<()> {
+        match (spelling(self.dialect, name), args) {
+            (Spelling::Call(spelled), _) => {
+                self.out.push_str(spelled);
+                self.out.push('(');
+                self.list(args, |p, a| p.expr(a, 0))?;
+            }
+            (Spelling::Extract, [d]) => {
+                let _ = write!(self.out, "EXTRACT({name} FROM ");
+                self.expr(d, 0)?;
+            }
+            (Spelling::FromFor, [s, start, len]) => {
+                let _ = write!(self.out, "{name}(");
+                self.expr(s, 0)?;
+                self.out.push_str(" FROM ");
+                self.expr(start, 0)?;
+                self.out.push_str(" FOR ");
+                self.expr(len, 0)?;
+            }
+            _ => {
                 return Err(Error::CodeGen(format!(
-                    "unknown external function '{other}'"
+                    "{name} called with {} arguments",
+                    args.len()
                 )))
             }
-        })
-    }
-}
-
-fn render_const(c: &Const) -> String {
-    match c {
-        Const::Int(i) => i.to_string(),
-        Const::Float(f) => {
-            if f.fract() == 0.0 && f.abs() < 1e15 {
-                format!("{f:.1}")
-            } else {
-                format!("{f}")
-            }
         }
-        Const::Bool(b) => b.to_string().to_uppercase(),
-        Const::Str(s) => format!("'{}'", s.replace('\'', "''")),
-        Const::Date(d) => format!("DATE '{}'", pytond_common::date::format(*d)),
-        Const::Null => "NULL".to_string(),
+        self.out.push(')');
+        Ok(())
     }
 }
 

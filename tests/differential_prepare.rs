@@ -1,12 +1,20 @@
-//! Differential testing of the compile/execute split: the direct
-//! TondIR→plan lowering (`pytond_sqldb::lower`) must be indistinguishable
-//! from the SQL-text path (sqlgen → lex → parse → bind) — same results
-//! (bit-identical) and same EXPLAIN plans (join order included) — across
-//! every TPC-H query, every hybrid workload, and all three dialect/profile
-//! pairs. sqlgen stays on as the differential oracle here.
+//! Differential testing of the compile/execute split. TondIR has one
+//! lowering (`pytond_sqldb::lower::lower_program`); the engine prepares the
+//! lowered AST directly, and `pytond_sqlgen` prints the same AST as the SQL
+//! export. Two properties tie the paths together across every TPC-H query,
+//! every hybrid workload, and all three dialect/profile pairs:
+//!
+//! - print → parse is the identity: the exported SQL parses back to exactly
+//!   the lowered AST, up to the parser's `SUBSTR`/`CHAR_LENGTH` spelling
+//!   aliases;
+//! - the reference oracle: preparing the exported text and preparing the
+//!   AST directly give equal EXPLAIN plans (join order included) and
+//!   bit-identical results.
 
 use pytond::{Backend, Dialect, EngineConfig, OptLevel, Profile, Pytond};
-use pytond_sqldb::lower::prepare_program;
+use pytond_sqldb::ast::{Select, SelectItem, SqlExpr, TableRef};
+use pytond_sqldb::lower::{lower_program, prepare_program};
+use pytond_sqldb::parser::parse_sql;
 use pytond_tondir::Program;
 use pytond_tpch::{all_queries, generate};
 use pytond_workloads::all_workloads;
@@ -19,6 +27,10 @@ fn pairings() -> [(Dialect, Profile); 3] {
         (Dialect::LingoDb, Profile::Lingo),
     ]
 }
+
+/// TPC-H queries also checked unoptimized: O0 keeps every intermediate rule
+/// (many more CTEs), which stresses the lowering over the largest programs.
+const O0_QUERIES: [usize; 6] = [1, 4, 9, 13, 14, 15];
 
 fn tpch_instance() -> Pytond {
     let data = generate(0.002);
@@ -35,6 +47,22 @@ fn tpch_instance() -> Pytond {
 fn optimize_ir(py: &Pytond, source: &str, level: OptLevel) -> Program {
     let raw = pytond_translate::translate_source(source, &py.catalog()).expect("translate");
     pytond_optimizer::optimize(raw, &py.catalog(), level)
+}
+
+/// Every hybrid workload on its own instance, with its optimized TondIR.
+fn workload_programs() -> Vec<(Pytond, &'static str, Program)> {
+    all_workloads(1)
+        .into_iter()
+        .map(|w| {
+            let py = Pytond::new();
+            for (name, rel, unique) in &w.tables {
+                let keys: Vec<&[&str]> = unique.iter().map(|k| k.as_slice()).collect();
+                py.register_table(name, rel.clone(), &keys);
+            }
+            let ir = optimize_ir(&py, w.source, OptLevel::O4);
+            (py, w.name, ir)
+        })
+        .collect()
 }
 
 /// Asserts the two paths agree for one program on one dialect/profile pair:
@@ -80,6 +108,89 @@ fn assert_paths_agree(py: &Pytond, name: &str, ir: &Program, dialect: Dialect, p
     }
 }
 
+/// Asserts that every dialect's export of `ir` parses back to exactly the
+/// lowered AST, after undoing the parser's two spelling aliases.
+fn assert_round_trip(py: &Pytond, name: &str, ir: &Program) {
+    let lowered =
+        lower_program(ir, &py.catalog()).unwrap_or_else(|e| panic!("{name}: lowering failed: {e}"));
+    for (dialect, _) in pairings() {
+        let sql = pytond_sqlgen::generate_sql(ir, &py.catalog(), dialect)
+            .unwrap_or_else(|e| panic!("{name} on {dialect:?}: sqlgen failed: {e}"));
+        let mut parsed = parse_sql(&sql)
+            .unwrap_or_else(|e| panic!("{name} on {dialect:?}: export does not parse: {e}\n{sql}"));
+        for cte in &mut parsed.ctes {
+            unalias_select(&mut cte.select);
+        }
+        unalias_select(&mut parsed.body);
+        assert!(
+            parsed == lowered,
+            "{name} on {dialect:?}: print → parse is not the identity\n{sql}"
+        );
+    }
+}
+
+/// Renames the parser's spelling aliases back to the canonical names the
+/// lowering emits: `SUBSTR` → `SUBSTRING`, `CHAR_LENGTH` → `LENGTH`.
+fn unalias(e: &mut SqlExpr) {
+    match e {
+        SqlExpr::Func { name, args } => {
+            match name.as_str() {
+                "SUBSTR" => *name = "SUBSTRING".into(),
+                "CHAR_LENGTH" => *name = "LENGTH".into(),
+                _ => {}
+            }
+            args.iter_mut().for_each(unalias);
+        }
+        SqlExpr::Bin { left, right, .. } => {
+            unalias(left);
+            unalias(right);
+        }
+        SqlExpr::Not(x) | SqlExpr::IsNull { expr: x, .. } | SqlExpr::Like { expr: x, .. } => {
+            unalias(x)
+        }
+        SqlExpr::InSubquery { expr, query, .. } => {
+            unalias(expr);
+            unalias_select(query);
+        }
+        SqlExpr::Case { arms, else_value } => {
+            for (cond, value) in arms {
+                unalias(cond);
+                unalias(value);
+            }
+            if let Some(value) = else_value {
+                unalias(value);
+            }
+        }
+        SqlExpr::Agg { arg: Some(arg), .. } => unalias(arg),
+        SqlExpr::RowNumber { order_by } => order_by.iter_mut().for_each(|(e, _)| unalias(e)),
+        _ => {}
+    }
+}
+
+fn unalias_select(s: &mut Select) {
+    for item in &mut s.items {
+        if let SelectItem::Expr { expr, .. } = item {
+            unalias(expr);
+        }
+    }
+    s.from.iter_mut().for_each(unalias_table);
+    s.where_clause.iter_mut().for_each(unalias);
+    s.group_by.iter_mut().for_each(unalias);
+    s.order_by.iter_mut().for_each(|(e, _)| unalias(e));
+    s.values.iter_mut().flatten().flatten().for_each(unalias);
+}
+
+fn unalias_table(t: &mut TableRef) {
+    if let TableRef::Join {
+        left, right, on, ..
+    } = t
+    {
+        unalias_table(left);
+        unalias_table(right);
+        on.iter_mut().for_each(unalias);
+    }
+}
+
 #[test]
 fn tpch_direct_lowering_matches_sql_text_path_all_profiles() {
     let py = tpch_instance();
@@ -93,10 +204,8 @@ fn tpch_direct_lowering_matches_sql_text_path_all_profiles() {
 
 #[test]
 fn tpch_unoptimized_ir_also_agrees() {
-    // O0 keeps every intermediate rule (many more CTEs): stresses the
-    // lowering over the largest programs.
     let py = tpch_instance();
-    for id in [1, 4, 9, 13, 14, 15] {
+    for id in O0_QUERIES {
         let q = pytond_tpch::query(id);
         let ir = optimize_ir(&py, q.source, OptLevel::O0);
         for (dialect, profile) in pairings() {
@@ -107,16 +216,26 @@ fn tpch_unoptimized_ir_also_agrees() {
 
 #[test]
 fn hybrid_workloads_direct_lowering_matches_sql_text_path() {
-    for w in all_workloads(1) {
-        let py = Pytond::new();
-        for (name, rel, unique) in &w.tables {
-            let keys: Vec<&[&str]> = unique.iter().map(|k| k.as_slice()).collect();
-            py.register_table(name, rel.clone(), &keys);
-        }
-        let ir = optimize_ir(&py, w.source, OptLevel::O4);
+    for (py, name, ir) in workload_programs() {
         for (dialect, profile) in pairings() {
-            assert_paths_agree(&py, w.name, &ir, dialect, profile);
+            assert_paths_agree(&py, name, &ir, dialect, profile);
         }
+    }
+}
+
+#[test]
+fn exported_sql_parses_back_to_the_lowered_ast() {
+    let py = tpch_instance();
+    for q in all_queries() {
+        assert_round_trip(&py, q.name, &optimize_ir(&py, q.source, OptLevel::O4));
+    }
+    for id in O0_QUERIES {
+        let q = pytond_tpch::query(id);
+        let name = format!("{}@O0", q.name);
+        assert_round_trip(&py, &name, &optimize_ir(&py, q.source, OptLevel::O0));
+    }
+    for (py, name, ir) in workload_programs() {
+        assert_round_trip(&py, name, &ir);
     }
 }
 
