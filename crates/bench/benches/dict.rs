@@ -147,14 +147,9 @@ fn dict(c: &mut Criterion) {
     }
 
     // CI gate: encoded must beat plain ≥ 1.5× on the string-keyed join and
-    // ≥ 2× on the equality filter. Skipped when encoding is globally off
-    // (`PYTOND_NO_DICT=1` makes both sides plain); a failing first
-    // measurement is re-taken once from scratch before the gate fires.
-    let no_dict = std::env::var("PYTOND_NO_DICT").is_ok_and(|v| {
-        let v = v.trim();
-        !v.is_empty() && v != "0"
-    });
-    if std::env::var("PYTOND_DICT_ASSERT").is_ok_and(|v| v == "1") && !no_dict {
+    // ≥ 2× on the equality filter; a failing first measurement is re-taken
+    // once from scratch before the gate fires.
+    if std::env::var("PYTOND_DICT_ASSERT").is_ok_and(|v| v == "1") {
         for (name, need) in [("join_groupby", 1.5f64), ("eq_filter", 2.0f64)] {
             let (_, plain_ns, enc_ns) = ratios.iter().find(|(n, _, _)| *n == name).unwrap();
             let mut speedup = plain_ns / enc_ns;

@@ -22,8 +22,7 @@
 //! When `PYTOND_MV_ASSERT=1`, the bench asserts full recompute costs ≥ 5×
 //! the incremental refresh on the filter and agg views (min-of-N on both
 //! sides, one clean re-measure before failing — the `fusion`/`dict` bench
-//! gate protocol). Skipped under `PYTOND_NO_IVM=1`, which turns views into
-//! recompute-on-read oracles.
+//! gate protocol).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pytond_common::{Column, Relation};
@@ -42,13 +41,6 @@ const APPENDS: usize = 5;
 
 fn smoke() -> bool {
     std::env::var("PYTOND_BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty())
-}
-
-fn no_ivm() -> bool {
-    std::env::var("PYTOND_NO_IVM").is_ok_and(|v| {
-        let v = v.trim();
-        !v.is_empty() && v != "0"
-    })
 }
 
 fn fact_rel(start: usize, rows: usize) -> Relation {
@@ -207,10 +199,9 @@ fn mv(c: &mut Criterion) {
     }
 
     // CI gate: a delta refresh must beat a full recompute ≥ 5× on the
-    // filter and agg views. Skipped under `PYTOND_NO_IVM=1` (views become
-    // recompute-on-read oracles, so there is no delta path to gate); a
-    // failing first measurement is re-taken once from scratch.
-    if std::env::var("PYTOND_MV_ASSERT").is_ok_and(|v| v == "1") && !no_ivm() {
+    // filter and agg views; a failing first measurement is re-taken once
+    // from scratch.
+    if std::env::var("PYTOND_MV_ASSERT").is_ok_and(|v| v == "1") {
         const NEED: f64 = 5.0;
         for name in ["point_filter", "group_agg"] {
             let m = measured.iter().find(|m| m.name == name).unwrap();

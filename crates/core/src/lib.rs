@@ -583,8 +583,7 @@ impl Pytond {
 
     /// The current published state of a standing view registered with
     /// [`Pytond::register_view`]: the materialized result plus the snapshot
-    /// version it is consistent with. Never torn; under `PYTOND_NO_IVM=1`
-    /// it recomputes from scratch on every call (the differential oracle).
+    /// version it is consistent with. Never torn.
     pub fn view(&self, name: &str) -> Result<Arc<ViewState>> {
         self.db.view(name)
     }

@@ -133,48 +133,6 @@ pub(crate) fn default_mem_budget_mb() -> Option<u64> {
     })
 }
 
-/// `PYTOND_NO_FUSE=1` forces the materializing (operator-at-a-time) path
-/// even under the fused profiles — the differential oracle the pipeline
-/// fuzzing suites run the whole test corpus against (read once).
-pub(crate) fn no_fuse() -> bool {
-    static CACHED: OnceLock<bool> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        std::env::var("PYTOND_NO_FUSE").is_ok_and(|v| {
-            let v = v.trim();
-            !v.is_empty() && v != "0"
-        })
-    })
-}
-
-/// `PYTOND_NO_DICT=1` disables dictionary encoding of string columns at
-/// `register`/`append` — tables store plain `Vec<String>` and every string
-/// kernel takes the byte path. This is the in-process differential oracle
-/// the dictionary property suite runs the whole corpus against (read once).
-pub(crate) fn no_dict() -> bool {
-    static CACHED: OnceLock<bool> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        std::env::var("PYTOND_NO_DICT").is_ok_and(|v| {
-            let v = v.trim();
-            !v.is_empty() && v != "0"
-        })
-    })
-}
-
-/// `PYTOND_NO_IVM=1` disables incremental maintenance of registered views —
-/// [`Database::view`] recomputes the standing query from scratch on every
-/// read instead of serving the maintained result. This is the in-process
-/// differential oracle the view maintenance suite runs the whole corpus
-/// against (read once).
-pub(crate) fn no_ivm() -> bool {
-    static CACHED: OnceLock<bool> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        std::env::var("PYTOND_NO_IVM").is_ok_and(|v| {
-            let v = v.trim();
-            !v.is_empty() && v != "0"
-        })
-    })
-}
-
 impl EngineConfig {
     /// Convenience constructor.
     pub fn new(profile: Profile, threads: usize) -> EngineConfig {
@@ -298,9 +256,8 @@ impl Snapshot {
             format!("{} bytes", metrics.mem_budget_bytes)
         };
         // Under the fused profiles the trace also shows the pipeline
-        // decomposition the driver will execute (`PYTOND_NO_FUSE=1` reverts
-        // to pure operator-at-a-time, so no pipelines are shown).
-        let fused = matches!(prepared.profile, Profile::Fused | Profile::Lingo) && !no_fuse();
+        // decomposition the fused executor will run.
+        let fused = matches!(prepared.profile, Profile::Fused | Profile::Lingo);
         let pipelines = if fused {
             crate::pipeline::describe(&prepared.bound)
         } else {
@@ -366,7 +323,7 @@ impl Snapshot {
         let ticket = pool::admission().admit_within(pool::default_admit_timeout())?;
         let opts = ExecOptions {
             threads: pool::resolve_threads(config.threads),
-            fused: matches!(config.profile, Profile::Fused | Profile::Lingo) && !no_fuse(),
+            fused: matches!(config.profile, Profile::Fused | Profile::Lingo),
             morsel: config.morsel,
             zone_prune: config.zone_prune,
             cancel: cancel.clone(),
@@ -456,16 +413,15 @@ impl Database {
     /// table.
     ///
     /// String columns are dictionary-encoded on the way in (dedup on build,
-    /// first-occurrence code order) unless `PYTOND_NO_DICT=1`; results decode
-    /// back to plain strings at materialization, so callers never observe
-    /// codes.
+    /// first-occurrence code order); results decode back to plain strings at
+    /// materialization, so callers never observe codes.
     pub fn register(&self, name: &str, rel: Relation) {
-        self.register_table(name, rel, !no_dict());
+        self.register_table(name, rel, true);
     }
 
-    /// Like [`Database::register`] but never dictionary-encodes, regardless
-    /// of environment — the explicit plain-string path benchmarks and the
-    /// differential dictionary suite compare against.
+    /// Like [`Database::register`] but never dictionary-encodes — the
+    /// plain-string path benchmarks and the differential dictionary suite
+    /// compare against.
     pub fn register_plain(&self, name: &str, rel: Relation) {
         self.register_table(name, rel, false);
     }

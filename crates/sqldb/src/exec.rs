@@ -23,9 +23,9 @@
 //!   scan → filter → project → join-probe → aggregate-partial while hot in
 //!   cache, with no intermediate relation between the fused operators — the
 //!   observable effect of Hyper-style pipeline compilation at this engine's
-//!   abstraction level. `PYTOND_NO_FUSE=1` forces the materializing path for
-//!   every profile; differential suites (`tests/fusion_property.rs`,
-//!   `tests/plan_fuzz.rs`) prove the two paths bit-identical.
+//!   abstraction level. Differential suites (`tests/fusion_property.rs`,
+//!   `tests/plan_fuzz.rs`) run each query under both profiles and prove the
+//!   two paths bit-identical.
 
 use crate::ast::AggName;
 use crate::db::Snapshot;
@@ -290,7 +290,7 @@ impl<'a> Executor<'a> {
         // Fused profiles: drive the pipeline rooted here single-pass. Plans
         // (or subplans) that extract no pipeline fall through to the
         // materializing operators below — which are also the whole story
-        // when fusion is off (`PYTOND_NO_FUSE=1` or the vectorized profile).
+        // under the vectorized profile.
         if self.opts.fused {
             if let Some(pl) = pipeline::extract(plan) {
                 return self.run_pipeline(plan, &pl);
@@ -567,6 +567,11 @@ impl<'a> Executor<'a> {
         n: usize,
         f: impl Fn(usize, usize) -> Result<T> + Sync,
     ) -> Result<Vec<T>> {
+        // Zero rows are one empty range on every path, so callers always
+        // get a (typed) chunk to concatenate.
+        if n == 0 {
+            return Ok(vec![f(0, 0)?]);
+        }
         let threads = self.op_threads(n);
         if threads <= 1 {
             if !self.opts.cancel.is_armed() && fault::active().is_none() {
@@ -729,12 +734,7 @@ impl<'a> Executor<'a> {
                 };
                 e.eval(batch, Some(&local_sel))
             })?;
-            let mut it = chunks.into_iter();
-            let mut col = it.next().unwrap_or_else(|| Column::new(DType::Int));
-            for c in it {
-                col.append(&c)?;
-            }
-            out_cols.push(Arc::new(col));
+            out_cols.push(Arc::new(concat_chunks(chunks)?));
         }
         Ok(Batch { cols: out_cols })
     }
@@ -764,15 +764,12 @@ impl<'a> Executor<'a> {
             .collect::<Result<_>>()?;
         // String key pairs: unify both sides into one shared dictionary so
         // `FixedKeySpec` can pack 32-bit codes instead of byte-encoding every
-        // row. Skipped under the no-dict oracle, which exercises the byte
-        // fallback end to end.
-        if !crate::db::no_dict() {
-            for i in 0..lkey_cols.len() {
-                if lkey_cols[i].dtype() == DType::Str && rkey_cols[i].dtype() == DType::Str {
-                    let (l, r) = pytond_common::unify_dict_pair(&lkey_cols[i], &rkey_cols[i]);
-                    lkey_cols[i] = l;
-                    rkey_cols[i] = r;
-                }
+        // row.
+        for i in 0..lkey_cols.len() {
+            if lkey_cols[i].dtype() == DType::Str && rkey_cols[i].dtype() == DType::Str {
+                let (l, r) = pytond_common::unify_dict_pair(&lkey_cols[i], &rkey_cols[i]);
+                lkey_cols[i] = l;
+                rkey_cols[i] = r;
             }
         }
         let lrefs: Vec<&Column> = lkey_cols.iter().collect();
@@ -1211,12 +1208,7 @@ impl<'a> Executor<'a> {
             };
             e.eval(batch, Some(&local))
         })?;
-        let mut it = chunks.into_iter();
-        let mut col = it.next().unwrap_or_else(|| Column::new(DType::Int));
-        for c in it {
-            col.append(&c)?;
-        }
-        Ok(col)
+        concat_chunks(chunks)
     }
 
     // ---------------- sort / window ----------------
@@ -2415,6 +2407,17 @@ impl GroupState {
             },
         }
     }
+}
+
+/// Concatenates the per-morsel chunks of one evaluated expression
+/// (`par_elementwise` always yields at least one).
+fn concat_chunks(chunks: Vec<Column>) -> Result<Column> {
+    let mut it = chunks.into_iter();
+    let mut col = it.next().unwrap_or_else(|| Column::new(DType::Int));
+    for c in it {
+        col.append(&c)?;
+    }
+    Ok(col)
 }
 
 #[cfg(test)]

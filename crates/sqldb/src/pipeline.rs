@@ -16,8 +16,8 @@
 //! dtypes, so the driver never discovers mid-flight that a chunk cannot be
 //! packed. Everything else — byte-keyed joins, right/full/cross joins, and
 //! every breaker — falls back to the materializing operators in
-//! [`crate::exec`], which double as the `PYTOND_NO_FUSE=1` differential
-//! oracle. See `docs/EXECUTION.md` § Fusion.
+//! [`crate::exec`], which double as the differential oracle that
+//! `Profile::Vectorized` selects per query. See `docs/EXECUTION.md` § Fusion.
 
 use crate::expr::BExpr;
 use crate::plan::{BAgg, BoundQuery, JKind, LogicalPlan};
@@ -54,8 +54,7 @@ pub struct ProbeStage<'p> {
     /// evaluated columns: join semantics (`nulls_matter = false`) make the
     /// layout a function of dtypes alone.
     pub spec: FixedKeySpec,
-    /// String key positions packed as 32-bit dictionary codes (0 when
-    /// dictionary encoding is disabled — those joins break the pipeline).
+    /// String key positions packed as 32-bit dictionary codes.
     pub dict_keys: usize,
 }
 
@@ -216,10 +215,7 @@ fn chain(plan: &LogicalPlan) -> (&LogicalPlan, Vec<Stage<'_>>) {
 /// String keys plan as zero-row dictionary-encoded placeholders sharing one
 /// dictionary `Arc`, so they pack as 32-bit code slots — a promise the
 /// runtime keeps by re-encoding every probe chunk into the build side's
-/// dictionary (see `exec`'s probe preparation). Under `PYTOND_NO_DICT=1`
-/// the placeholders stay plain strings, the plan falls back to `None`, and
-/// string-keyed joins break the pipeline exactly as they did before
-/// dictionary encoding existed.
+/// dictionary (see `exec`'s probe preparation).
 fn probe_spec(
     left: &LogicalPlan,
     right: &LogicalPlan,
@@ -232,12 +228,11 @@ fn probe_spec(
     {
         return None;
     }
-    let dict = !crate::db::no_dict();
     let typed = |plan: &LogicalPlan, keys: &[BExpr]| -> Vec<Column> {
         let dtypes: Vec<DType> = plan.schema().fields.iter().map(|f| f.dtype).collect();
         keys.iter()
             .map(|e| match e.dtype(&dtypes) {
-                DType::Str if dict => Column::DictStr {
+                DType::Str => Column::DictStr {
                     codes: Vec::new(),
                     dict: pytond_common::empty_dict(),
                     valid: None,
@@ -250,11 +245,7 @@ fn probe_spec(
     let rcols = typed(right, right_keys);
     let lrefs: Vec<&Column> = lcols.iter().collect();
     let rrefs: Vec<&Column> = rcols.iter().collect();
-    let dict_keys = if dict {
-        lcols.iter().filter(|c| c.dtype() == DType::Str).count()
-    } else {
-        0
-    };
+    let dict_keys = lcols.iter().filter(|c| c.dtype() == DType::Str).count();
     FixedKeySpec::plan(&[&lrefs, &rrefs], false).map(|spec| (spec, dict_keys))
 }
 

@@ -10,8 +10,8 @@
 //! cargo run --release --example mv_trace
 //! ```
 //!
-//! Set `PYTOND_NO_IVM=1` to watch every view fall back to
-//! recompute-on-read — the differential oracle for the delta rules.
+//! It ends by checking every view against `Database::view_oracle`, a
+//! from-scratch recompute — the differential oracle for the delta rules.
 
 use pytond_repro::common::{Column, Relation};
 use pytond_repro::sqldb::{Database, EngineConfig, Profile};

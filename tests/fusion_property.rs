@@ -8,10 +8,9 @@
 //! drive the same zone-aligned morsel grid as materializing scans, chunks
 //! merge in ascending morsel order, and aggregate sinks rebuild the narrow
 //! key/argument columns in that order before running the *same* fixed-grid
-//! accumulation tree (`docs/EXECUTION.md` § Fusion). Running the whole
-//! suite under `PYTOND_NO_FUSE=1` (CI does) re-checks the corpus with
-//! fusion globally disabled — both sides then take the materializing path
-//! and the comparison is the identity, proving the kill switch works.
+//! accumulation tree (`docs/EXECUTION.md` § Fusion). The materializing
+//! reference is selected per query with `Profile::Vectorized`, so both
+//! sides run in the same process.
 //!
 //! Coverage: all 22 TPC-H queries, every hybrid workload, the
 //! stats-property corpus (dtypes × clustering × NULL patterns), NULL-heavy
@@ -37,16 +36,6 @@ fn config(profile: Profile, threads: usize) -> EngineConfig {
         zone_prune: true,
         ..EngineConfig::default()
     }
-}
-
-/// `true` when the process runs with fusion disabled (`PYTOND_NO_FUSE=1`):
-/// differential checks still hold trivially, but assertions about pipeline
-/// counters must be skipped.
-fn fusion_disabled() -> bool {
-    std::env::var("PYTOND_NO_FUSE").is_ok_and(|v| {
-        let v = v.trim();
-        !v.is_empty() && v != "0"
-    })
 }
 
 /// Exact equality under `Value::total_cmp` — see
@@ -338,10 +327,6 @@ fn fused_traces_report_pipelines_and_scan_zones_once() {
     );
     assert_eq!(vec_trace.metrics.pipelines, 0);
     assert!(vec_trace.metrics.pipeline_ops.is_empty());
-    if fusion_disabled() {
-        eprintln!("PYTOND_NO_FUSE set: skipping fused-side pipeline assertions");
-        return;
-    }
     for threads in [1usize, 7] {
         let (_, fused) = db
             .execute_sql_traced(sql, &config(Profile::Fused, threads))
@@ -380,10 +365,6 @@ fn fused_traces_report_pipelines_and_scan_zones_once() {
 
 #[test]
 fn fused_join_pipeline_probes_without_flipping() {
-    if fusion_disabled() {
-        eprintln!("PYTOND_NO_FUSE set: skipping fused-probe trace assertions");
-        return;
-    }
     let db = null_heavy_db(30_000);
     let sql = "SELECT l.k, SUM(r.b) AS s FROM l, r WHERE l.k = r.k GROUP BY l.k";
     let (_, fused) = db

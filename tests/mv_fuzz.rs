@@ -4,7 +4,8 @@
 //! floats, empty appends, appends to the join build side) — after **every**
 //! append the maintained state must be bit-identical (`Value::total_cmp`)
 //! to a from-scratch recompute of the view's own plan on the pinned
-//! snapshot, with the stamp exactly at the published version.
+//! snapshot, with the stamp exactly at the published version. Each case
+//! maintains its view under the fused or the materializing profile.
 //!
 //! The proptest shim (`shims/proptest`) has no shrinking, so failures
 //! shrink by hand — same harness style as `tests/plan_fuzz.rs`: schedule
@@ -220,16 +221,17 @@ fn diff_cells(name: &str, a: &Relation, b: &Relation) -> Option<String> {
     None
 }
 
-/// Runs one (plan, schedule) case. `None` = the maintained view matched a
-/// from-scratch recompute on the pinned snapshot after every append;
-/// `Some(why)` = a maintenance bug (a finding). The oracle itself must
-/// accept the generated SQL — the generator only emits supported plans.
-fn fails(feats: &[Feat], sched: &[Append], threads: usize) -> Option<String> {
+/// Runs one (plan, schedule) case with the view maintained under `profile`
+/// (fused pipelines or the materializing executor). `None` = the maintained
+/// view matched a from-scratch recompute on the pinned snapshot after every
+/// append; `Some(why)` = a maintenance bug (a finding). The oracle itself
+/// must accept the generated SQL — the generator only emits supported plans.
+fn fails(feats: &[Feat], sched: &[Append], threads: usize, profile: Profile) -> Option<String> {
     let sql = view_sql(feats);
     let db = Database::new();
     db.register("t", t_rel(0, 2_000, 7, 3));
     db.register("r", r_rel(0, 97, 1));
-    if let Err(e) = db.register_view_with("v", &sql, &config(Profile::Fused, threads)) {
+    if let Err(e) = db.register_view_with("v", &sql, &config(profile, threads)) {
         return Some(format!("register_view rejected generated SQL: {e}\n{sql}"));
     }
     for (step, &(table, shape, salt)) in sched.iter().enumerate() {
@@ -262,7 +264,13 @@ fn fails(feats: &[Feat], sched: &[Append], threads: usize) -> Option<String> {
 
 /// Hand-rolled shrinking: greedily drop schedule entries, then plan
 /// features, while the case still fails; panic with the minimal pair.
-fn shrink_and_report(feats: &[Feat], sched: &[Append], threads: usize, first: String) -> ! {
+fn shrink_and_report(
+    feats: &[Feat],
+    sched: &[Append],
+    threads: usize,
+    profile: Profile,
+    first: String,
+) -> ! {
     let mut mf: Vec<Feat> = feats.to_vec();
     let mut ms: Vec<Append> = sched.to_vec();
     loop {
@@ -271,7 +279,7 @@ fn shrink_and_report(feats: &[Feat], sched: &[Append], threads: usize, first: St
         while i < ms.len() {
             let mut cand = ms.clone();
             cand.remove(i);
-            if fails(&mf, &cand, threads).is_some() {
+            if fails(&mf, &cand, threads, profile).is_some() {
                 ms = cand;
                 reduced = true;
             } else {
@@ -282,7 +290,7 @@ fn shrink_and_report(feats: &[Feat], sched: &[Append], threads: usize, first: St
         while i < mf.len() {
             let mut cand = mf.clone();
             cand.remove(i);
-            if fails(&cand, &ms, threads).is_some() {
+            if fails(&cand, &ms, threads, profile).is_some() {
                 mf = cand;
                 reduced = true;
             } else {
@@ -293,7 +301,7 @@ fn shrink_and_report(feats: &[Feat], sched: &[Append], threads: usize, first: St
             break;
         }
     }
-    let why = fails(&mf, &ms, threads).unwrap_or(first);
+    let why = fails(&mf, &ms, threads, profile).unwrap_or(first);
     let appends: Vec<String> = ms
         .iter()
         .enumerate()
@@ -307,7 +315,7 @@ fn shrink_and_report(feats: &[Feat], sched: &[Append], threads: usize, first: St
         .collect();
     panic!(
         "maintained view diverged from recompute; minimal case \
-         ({} of {} features, {} of {} appends) at {threads} threads:\n{}\n{}\n{}",
+         ({} of {} features, {} of {} appends) at {threads} threads, {profile:?}:\n{}\n{}\n{}",
         mf.len(),
         feats.len(),
         ms.len(),
@@ -327,32 +335,36 @@ proptest! {
     fn random_views_match_recompute_after_every_append(
         feats in prop::collection::vec((0u8..5, 0i64..40), 0..6),
         sched in prop::collection::vec((0u8..2, 0u8..5, 0u16..1000), 1..5),
-        tsel in 0u8..3,
+        tsel in 0u8..6,
     ) {
-        let threads = [1usize, 2, 7][tsel as usize];
-        if let Some(why) = fails(&feats, &sched, threads) {
-            shrink_and_report(&feats, &sched, threads, why);
+        let threads = [1usize, 2, 7][tsel as usize % 3];
+        let profile = [Profile::Fused, Profile::Vectorized][tsel as usize / 3];
+        if let Some(why) = fails(&feats, &sched, threads, profile) {
+            shrink_and_report(&feats, &sched, threads, profile, why);
         }
     }
 }
 
 /// Deterministic edge grid: every single plan feature against every batch
 /// shape on both tables — covers empty appends, single-row appends,
-/// NULL-heavy batches and build-side growth for each maintenance class.
+/// NULL-heavy batches and build-side growth for each maintenance class,
+/// with the view maintained under both profiles.
 #[test]
 fn edge_grid_every_feature_and_batch_shape() {
     for kind in 0u8..5 {
         for p in 0i64..4 {
-            for table in 0u8..2 {
-                for shape in 0u8..5 {
-                    let feats = [(kind, p)];
-                    let sched = [(table, shape, 11u16)];
-                    if let Some(why) = fails(&feats, &sched, 2) {
-                        panic!(
-                            "feature ({kind},{p}) × append (table {table}, shape {shape}): \
-                             {why}\n{}",
-                            view_sql(&feats)
-                        );
+            for profile in [Profile::Fused, Profile::Vectorized] {
+                for table in 0u8..2 {
+                    for shape in 0u8..5 {
+                        let feats = [(kind, p)];
+                        let sched = [(table, shape, 11u16)];
+                        if let Some(why) = fails(&feats, &sched, 2, profile) {
+                            panic!(
+                                "feature ({kind},{p}) × append (table {table}, shape {shape}), \
+                                 {profile:?}: {why}\n{}",
+                                view_sql(&feats)
+                            );
+                        }
                     }
                 }
             }
@@ -369,8 +381,10 @@ fn long_mixed_schedule_stays_exact() {
         .map(|i| ((i % 2) as u8, (i % 5) as u8, (i * 37 % 1000) as u16))
         .collect();
     for threads in [1usize, 7] {
-        if let Some(why) = fails(&feats, &sched, threads) {
-            panic!("long schedule at {threads} threads: {why}");
+        for profile in [Profile::Fused, Profile::Vectorized] {
+            if let Some(why) = fails(&feats, &sched, threads, profile) {
+                panic!("long schedule at {threads} threads, {profile:?}: {why}");
+            }
         }
     }
 }

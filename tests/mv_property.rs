@@ -10,9 +10,8 @@
 //! synthetic tables with dict-string keys, NULL densities and empty appends
 //! at threads 1 / 2 / 7 / hardware under both profiles, and trace pinning
 //! that incremental-eligible plan shapes actually report `delta` — not
-//! `recompute` — after an append. CI re-runs the whole file under
-//! `PYTOND_NO_IVM=1` (recompute-on-read oracle) and `PYTOND_NO_DICT=1`;
-//! the differential checks must hold identically in every mode.
+//! `recompute` — after an append. The synthetic tables are registered both
+//! dictionary-encoded and through [`Database::register_plain`].
 
 use pytond::{Backend, Profile, Pytond};
 use pytond_common::{pool, Column, DType, Relation, Value};
@@ -34,16 +33,6 @@ fn config(profile: Profile, threads: usize) -> EngineConfig {
         zone_prune: true,
         ..EngineConfig::default()
     }
-}
-
-/// `true` when the process runs with maintenance disabled
-/// (`PYTOND_NO_IVM=1`): differential checks still hold (both sides
-/// recompute), but assertions about refresh modes must be skipped.
-fn ivm_disabled() -> bool {
-    std::env::var("PYTOND_NO_IVM").is_ok_and(|v| {
-        let v = v.trim();
-        !v.is_empty() && v != "0"
-    })
 }
 
 /// Exact equality under `Value::total_cmp` — see
@@ -233,64 +222,71 @@ fn synth_rel(start: usize, rows: usize, null_every: usize, salt: u64) -> Relatio
 }
 
 /// Filter, projection, group-by aggregation and join views over the
-/// synthetic table, maintained at every thread count under both profiles:
-/// after each append in a seeded schedule (varying batch sizes, NULL
+/// synthetic table, maintained at every thread count under both profiles
+/// over both dictionary-encoded and plain string storage: after each append in a seeded schedule (varying batch sizes, NULL
 /// densities and an empty batch) every view is bit-identical to recompute
 /// on the pinned snapshot.
 #[test]
 fn synthetic_views_bit_identical_at_all_thread_counts() {
     for threads in thread_counts() {
         for profile in [Profile::Vectorized, Profile::Fused] {
-            let db = Database::new();
-            db.register("t", synth_rel(0, 4_000, 7, 3));
-            db.register(
-                "dim",
-                Relation::new(vec![
-                    ("k".into(), Column::from_i64((0..97).collect())),
+            for plain in [false, true] {
+                let db = Database::new();
+                if plain {
+                    db.register_plain("t", synth_rel(0, 4_000, 7, 3));
+                } else {
+                    db.register("t", synth_rel(0, 4_000, 7, 3));
+                }
+                db.register(
+                    "dim",
+                    Relation::new(vec![
+                        ("k".into(), Column::from_i64((0..97).collect())),
+                        (
+                            "w".into(),
+                            Column::from_f64((0..97).map(|i| i as f64 * 1.5).collect()),
+                        ),
+                    ])
+                    .unwrap(),
+                );
+                let cfg = config(profile, threads);
+                for (name, sql) in [
+                    ("v_filter", "SELECT k, f, s FROM t WHERE k >= 40"),
                     (
-                        "w".into(),
-                        Column::from_f64((0..97).map(|i| i as f64 * 1.5).collect()),
+                        "v_project",
+                        "SELECT k + 1 AS k1, f * 2.0 AS f2 FROM t WHERE k IS NOT NULL",
                     ),
-                ])
-                .unwrap(),
-            );
-            let cfg = config(profile, threads);
-            for (name, sql) in [
-                ("v_filter", "SELECT k, f, s FROM t WHERE k >= 40"),
-                (
-                    "v_project",
-                    "SELECT k + 1 AS k1, f * 2.0 AS f2 FROM t WHERE k IS NOT NULL",
-                ),
-                (
-                    "v_agg",
-                    "SELECT s, SUM(f) AS sf, COUNT(*) AS n, AVG(f) AS af, MIN(k) AS lo, \
+                    (
+                        "v_agg",
+                        "SELECT s, SUM(f) AS sf, COUNT(*) AS n, AVG(f) AS af, MIN(k) AS lo, \
                      MAX(k) AS hi FROM t GROUP BY s",
-                ),
-                (
-                    "v_join_agg",
-                    "SELECT t.s, SUM(dim.w) AS sw FROM t, dim WHERE t.k = dim.k AND t.k < 12 \
+                    ),
+                    (
+                        "v_join_agg",
+                        "SELECT t.s, SUM(dim.w) AS sw FROM t, dim WHERE t.k = dim.k AND t.k < 12 \
                      GROUP BY t.s",
-                ),
-                (
-                    "v_sorted",
-                    "SELECT s, k, f FROM t WHERE k < 5 ORDER BY f DESC, k",
-                ),
-            ] {
-                db.register_view_with(name, sql, &cfg)
-                    .unwrap_or_else(|e| panic!("{name}@{threads}t: register failed: {e}"));
-            }
-            let label = format!("{profile:?}@{threads}t");
-            check_views(&db, &format!("{label}/initial"));
-            let mut next = rng(threads as u64 * 7919 + 13);
-            for (step, (rows, null_every)) in
-                [(513usize, 0usize), (0, 0), (1_024, 3), (65, 1), (700, 11)]
-                    .into_iter()
-                    .enumerate()
-            {
-                let start = 4_000 + step * 1_100;
-                db.append("t", &synth_rel(start, rows, null_every, next()))
-                    .unwrap();
-                check_views(&db, &format!("{label}/step{step}+{rows}"));
+                    ),
+                    (
+                        "v_sorted",
+                        "SELECT s, k, f FROM t WHERE k < 5 ORDER BY f DESC, k",
+                    ),
+                ] {
+                    db.register_view_with(name, sql, &cfg)
+                        .unwrap_or_else(|e| panic!("{name}@{threads}t: register failed: {e}"));
+                }
+                let storage = if plain { "plain" } else { "dict" };
+                let label = format!("{profile:?}@{threads}t/{storage}");
+                check_views(&db, &format!("{label}/initial"));
+                let mut next = rng(threads as u64 * 7919 + 13);
+                for (step, (rows, null_every)) in
+                    [(513usize, 0usize), (0, 0), (1_024, 3), (65, 1), (700, 11)]
+                        .into_iter()
+                        .enumerate()
+                {
+                    let start = 4_000 + step * 1_100;
+                    db.append("t", &synth_rel(start, rows, null_every, next()))
+                        .unwrap();
+                    check_views(&db, &format!("{label}/step{step}+{rows}"));
+                }
             }
         }
     }
@@ -304,10 +300,6 @@ fn synthetic_views_bit_identical_at_all_thread_counts() {
 /// operator named in the maintenance matrix.
 #[test]
 fn eligible_shapes_report_delta_in_trace() {
-    if ivm_disabled() {
-        eprintln!("PYTOND_NO_IVM set: skipping refresh-mode pinning");
-        return;
-    }
     let db = Database::new();
     db.register("t", synth_rel(0, 4_000, 7, 3));
     db.register(

@@ -12,7 +12,7 @@
 
 use pytond_common::pool::Admission;
 use pytond_common::retry::{retry, RetryPolicy};
-use pytond_common::{CancelToken, Column, Error, Relation};
+use pytond_common::{CancelToken, Column, DType, Error, Relation};
 use pytond_sqldb::{Database, EngineConfig, Profile};
 use std::time::{Duration, Instant};
 
@@ -364,4 +364,34 @@ fn zero_disables_the_limit_explicitly() {
     assert_eq!(out.num_rows() as i64, GROUPS);
     assert_eq!(trace.metrics.deadline_ms, 0);
     assert_eq!(trace.metrics.mem_budget_bytes, 0);
+}
+
+/// Arming a limit never changes a result: an empty projection under a
+/// deadline keeps its expression's type on the materializing path (the
+/// armed path splits zero rows into zero morsels).
+#[test]
+fn armed_limits_keep_empty_projection_types() {
+    let db = Database::new();
+    db.register(
+        "t",
+        Relation::new(vec![
+            ("k".into(), Column::from_i64(vec![1, 2, 3])),
+            ("f".into(), Column::from_f64(vec![0.5, 1.5, 2.5])),
+        ])
+        .unwrap(),
+    );
+    let sql = "SELECT k + 1 AS k1, f * 2.0 AS f2 FROM t WHERE k > 10";
+    for profile in [Profile::Vectorized, Profile::Fused] {
+        let cfg = EngineConfig::new(profile, 1);
+        let free = db.execute_sql(sql, &cfg).unwrap();
+        let armed = db
+            .execute_sql(sql, &cfg.with_timeout(Some(60_000)))
+            .unwrap();
+        assert_eq!(armed.num_rows(), 0);
+        assert_eq!(
+            armed, free,
+            "{profile:?}: arming a deadline changed the result"
+        );
+        assert_eq!(armed.column_at(1).dtype(), DType::Float, "{profile:?}");
+    }
 }
